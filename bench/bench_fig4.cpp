@@ -53,20 +53,23 @@ int main(int argc, char** argv) {
   for (const Panel& p : panels) {
     std::cout << "running " << p.title << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(p.arch, p.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
+    const strategy::ClassAwareStrategyConfig ca = report::class_aware_config(scale);
+    core::ImportanceEvaluator evaluator(ca.importance);
+    const std::vector<float> before =
+        evaluator.evaluate(wb.model, wb.data.train).units[p.unit_index].total;
+    strategy::StrategyRunConfig cfg = report::run_config(scale);
     cfg.model_factory = wb.factory;
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(ca);
+    strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg);
+    const std::vector<float> after =
+        evaluator.evaluate(wb.model, wb.data.train).units[p.unit_index].total;
 
     const float max_score = static_cast<float>(p.classes);
     std::cout << "\n--- " << p.title << " ---\n";
-    std::cout << "before pruning (" << res.scores_before.units[p.unit_index].total.size()
+    std::cout << "before pruning (" << before.size() << " filters):\n"
+              << report::histogram(before, 10, max_score) << "after pruning (" << after.size()
               << " filters):\n"
-              << report::histogram(res.scores_before.units[p.unit_index].total, 10, max_score)
-              << "after pruning (" << res.scores_after.units[p.unit_index].total.size()
-              << " filters):\n"
-              << report::histogram(res.scores_after.units[p.unit_index].total, 10, max_score)
-              << "\n";
+              << report::histogram(after, 10, max_score) << "\n";
   }
   std::cout << "Expected shape (paper): low-score mass disappears and the\n"
                "distribution shifts right after pruning.\n";

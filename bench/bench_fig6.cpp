@@ -5,22 +5,24 @@
 // FLOPs reduction.
 //
 // Every method starts from the same pre-trained checkpoint and runs
-// through the same iterative prune/fine-tune driver with the same stop
-// rule, so differences come from the selection criterion alone.
+// through strategy::run_strategy under ONE StrategyRunConfig: the same
+// caps, fine-tuning schedule, recovery rounds, stop rule and rollback,
+// so differences come from the selection criterion (and the method's own
+// training regularizer) alone.
 //
 // The paper's claim: class-aware pruning reaches the highest accuracy at
 // comparable (or better) pruning ratio / FLOPs reduction in most cases.
-#include <algorithm>
 #include <iostream>
-#include <vector>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/activation.h"
-#include "baselines/baseline_pruner.h"
 #include "baselines/magnitude.h"
 #include "baselines/regularized.h"
 #include "report/experiment.h"
 #include "report/table.h"
+#include "strategy/competitors.h"
 
 int main(int argc, char** argv) {
   using namespace capr;
@@ -50,58 +52,37 @@ int main(int argc, char** argv) {
       wb.model.load_state_dict(checkpoint);
     };
 
-    report::Table table({"Method", "Acc pruned", "Drop", "Prun. ratio", "FLOPs red."});
+    report::Table table(
+        {"Method", "Acc pruned", "Drop", "Prun. ratio", "FLOPs red.", "Filters rm.", "Iters"});
 
-    // Proposed method.
-    {
-      std::cout << "running Class-Aware (proposed) ..." << std::endl;
+    const int64_t m = scale.images_per_class_scoring;
+    std::vector<std::pair<std::string, std::unique_ptr<strategy::PruneStrategy>>> methods;
+    methods.emplace_back("Class-Aware (ours)", std::make_unique<strategy::ClassAwareStrategy>(
+                                                   report::class_aware_config(scale)));
+    methods.emplace_back("L1", std::make_unique<baselines::L1Criterion>());
+    methods.emplace_back("SSS", std::make_unique<baselines::SSSCriterion>());
+    methods.emplace_back("HRank", std::make_unique<baselines::HRankCriterion>(m));
+    methods.emplace_back("TPP", std::make_unique<baselines::TPPCriterion>(m));
+    methods.emplace_back("OrthConv", std::make_unique<baselines::OrthConvCriterion>());
+    // DepGraph [13] with full grouping scores the whole coupled channel;
+    // with no grouping, the producer's out-channel L2 norm alone.
+    methods.emplace_back("DepGraph-FG", std::make_unique<strategy::DependencyAwareStrategy>());
+    methods.emplace_back("DepGraph-NG", std::make_unique<baselines::L2Criterion>());
+    methods.emplace_back("Taylor-FO", std::make_unique<baselines::TaylorFOCriterion>(m));
+    methods.emplace_back("APoZ", std::make_unique<baselines::APoZCriterion>(m));
+
+    strategy::StrategyRunConfig cfg = report::run_config(scale);
+    cfg.model_factory = wb.factory;
+    for (auto& [label, strat] : methods) {
+      std::cout << "running " << label << " ..." << std::endl;
       rebuild();
-      core::ClassAwarePrunerConfig ccfg = report::pruner_config(scale);
-      ccfg.model_factory = wb.factory;
-      core::ClassAwarePruner pruner(ccfg);
-      const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
-      table.add_row({"Class-Aware (ours)", report::pct(res.final_accuracy),
+      const strategy::StrategyRunResult res =
+          strategy::run_strategy(wb.model, *strat, wb.data.train, wb.data.test, cfg);
+      table.add_row({label, report::pct(res.final_accuracy),
                      report::pct(res.final_accuracy - res.original_accuracy),
                      report::pct(res.report.pruning_ratio()),
-                     report::pct(res.report.flops_reduction())});
-    }
-
-    // Baselines through the shared driver.
-    baselines::BaselinePrunerConfig bcfg;
-    bcfg.max_fraction_per_iter = scale.max_fraction_per_iter;
-    bcfg.max_iterations = scale.name == "micro" ? std::min(scale.max_iterations, 6)
-                                                : scale.max_iterations;
-    bcfg.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
-    bcfg.max_accuracy_drop = scale.max_accuracy_drop;
-    bcfg.finetune.epochs = scale.finetune_epochs;
-    bcfg.finetune.batch_size = scale.batch_size;
-    bcfg.finetune.sgd.lr = 0.02f;
-
-    std::vector<std::unique_ptr<baselines::Criterion>> criteria;
-    criteria.push_back(std::make_unique<baselines::L1Criterion>());
-    criteria.push_back(std::make_unique<baselines::SSSCriterion>());
-    criteria.push_back(std::make_unique<baselines::HRankCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::TPPCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::OrthConvCriterion>());
-    criteria.push_back(std::make_unique<baselines::DepGraphCriterion>(true));
-    criteria.push_back(std::make_unique<baselines::DepGraphCriterion>(false));
-    criteria.push_back(std::make_unique<baselines::TaylorFOCriterion>(
-        scale.images_per_class_scoring));
-    criteria.push_back(std::make_unique<baselines::APoZCriterion>(
-        scale.images_per_class_scoring));
-
-    for (auto& crit : criteria) {
-      std::cout << "running " << crit->name() << " ..." << std::endl;
-      rebuild();
-      baselines::BaselinePruner pruner(bcfg);
-      const baselines::BaselineRunResult res =
-          pruner.run(wb.model, *crit, wb.data.train, wb.data.test);
-      table.add_row({res.method, report::pct(res.final_accuracy),
-                     report::pct(res.final_accuracy - res.original_accuracy),
-                     report::pct(res.report.pruning_ratio()),
-                     report::pct(res.report.flops_reduction())});
+                     report::pct(res.report.flops_reduction()),
+                     std::to_string(res.filters_removed), std::to_string(res.iterations_run)});
     }
     std::cout << "\n" << table.render() << "\n";
   }

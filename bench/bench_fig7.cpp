@@ -41,20 +41,23 @@ int main(int argc, char** argv) {
   for (const Panel& p : panels) {
     std::cout << "running " << p.title << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(p.arch, p.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
+    const strategy::ClassAwareStrategyConfig ca = report::class_aware_config(scale);
+    core::ImportanceEvaluator evaluator(ca.importance);
+    const core::ImportanceResult scores_before = evaluator.evaluate(wb.model, wb.data.train);
+    strategy::StrategyRunConfig cfg = report::run_config(scale);
     cfg.model_factory = wb.factory;
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(ca);
+    strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg);
 
-    const std::vector<float> before = res.scores_before.mean_per_unit();
-    const std::vector<float> after = res.scores_after.mean_per_unit();
+    const std::vector<float> before = scores_before.mean_per_unit();
+    const std::vector<float> after = evaluator.evaluate(wb.model, wb.data.train).mean_per_unit();
 
     report::Table table({"Layer (prunable unit)", "mean score before", "mean score after",
                          "growth"});
     int64_t grew = 0;
     for (size_t u = 0; u < before.size(); ++u) {
       if (after[u] > before[u]) ++grew;
-      table.add_row({res.scores_before.units[u].unit_name, report::fixed(before[u]),
+      table.add_row({scores_before.units[u].unit_name, report::fixed(before[u]),
                      report::fixed(after[u]),
                      report::fixed(after[u] - before[u], 2)});
     }

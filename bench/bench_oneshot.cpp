@@ -10,7 +10,6 @@
 // react to how the network reorganises.
 #include <iostream>
 
-#include "core/pruner.h"
 #include "report/experiment.h"
 #include "report/table.h"
 
@@ -36,15 +35,17 @@ int main(int argc, char** argv) {
   const auto run = [&](const char* label, float per_iter, int iters, int ft_epochs) {
     wb.model = wb.factory();
     wb.model.load_state_dict(checkpoint);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-    cfg.strategy.mode = core::StrategyMode::kPercentage;  // fixed budget per step
-    cfg.strategy.max_fraction_per_iter = per_iter;
-    cfg.strategy.max_layer_fraction_per_iter = 1.0f;  // budget fully drives removal
+    strategy::StrategyRunConfig cfg = report::run_config(scale);
+    strategy::ClassAwareStrategyConfig ca = report::class_aware_config(scale);
+    ca.mode = core::StrategyMode::kPercentage;  // fixed budget per step
+    cfg.limits.max_fraction_per_iter = per_iter;
+    cfg.limits.max_layer_fraction_per_iter = 1.0f;  // budget fully drives removal
     cfg.max_iterations = iters;
     cfg.finetune.epochs = ft_epochs;
     cfg.max_accuracy_drop = 1.0f;  // observe raw accuracy, no early stop
-    core::ClassAwarePruner pruner(cfg);
-    core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(ca);
+    strategy::StrategyRunResult res =
+        strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg);
     nn::TrainConfig landing = cfg.finetune;
     landing.epochs = scale.finetune_epochs * steps;
     nn::train(wb.model, wb.data.train, landing);
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     table.add_row({label, report::pct(res.final_accuracy),
                    report::pct(res.report.pruning_ratio()),
                    report::pct(res.report.flops_reduction()),
-                   std::to_string(res.iterations.size())});
+                   std::to_string(res.iterations_run)});
   };
 
   // One shot: the whole budget at once.

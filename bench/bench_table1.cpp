@@ -49,20 +49,22 @@ int main(int argc, char** argv) {
     if (args.smoke && &row != &kPaperRows[0]) break;  // smoke: first row only
     std::cout << "running " << row.name << " ..." << std::endl;
     report::Workbench wb = report::prepare_workbench(row.arch, row.classes, scale);
-    core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
+    strategy::StrategyRunConfig cfg = report::run_config(scale);
+    strategy::ClassAwareStrategyConfig ca = report::class_aware_config(scale);
     cfg.model_factory = wb.factory;
     if (scale.name == "micro" && row.classes >= 100) {
       // 100-class scoring costs ~10x the 10-class passes on one core;
       // cap the loop so the whole table stays inside the time budget.
       cfg.max_iterations = std::min(cfg.max_iterations, 5);
-      cfg.importance.images_per_class = 4;
+      ca.importance.images_per_class = 4;
     }
     cfg.on_iteration = [](const core::IterationRecord& it) {
       std::cout << "    iter " << it.iteration << ": -" << it.filters_removed
                 << " filters, acc " << report::pct(it.accuracy_after_finetune) << std::endl;
     };
-    core::ClassAwarePruner pruner(cfg);
-    const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+    strategy::ClassAwareStrategy strat(ca);
+    const strategy::StrategyRunResult res =
+        strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg);
 
     table.add_row({row.name, report::pct(res.original_accuracy),
                    report::pct(res.final_accuracy), report::pct(res.report.pruning_ratio()),
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
                  report::fixed(res.final_accuracy, 4),
                  report::fixed(res.report.pruning_ratio(), 4),
                  report::fixed(res.report.flops_reduction(), 4),
-                 std::to_string(res.iterations.size()), res.stop_reason});
+                 std::to_string(res.iterations_run), res.stop_reason});
     std::cout << "  " << row.name << ": acc " << report::pct(res.original_accuracy) << " -> "
               << report::pct(res.final_accuracy) << ", params "
               << report::human_count(res.report.params_before) << " -> "

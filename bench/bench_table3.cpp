@@ -56,13 +56,15 @@ int main(int argc, char** argv) {
       std::cout << "training " << arch << " with reg = " << reg.name << " ..." << std::endl;
       report::Workbench wb =
           report::prepare_workbench(arch, 10, scale, reg.lambda1, reg.lambda2);
-      core::ClassAwarePrunerConfig cfg = report::pruner_config(scale);
-      cfg.loss.lambda1 = reg.lambda1;
-      cfg.loss.lambda2 = reg.lambda2;
+      strategy::StrategyRunConfig cfg = report::run_config(scale);
+      strategy::ClassAwareStrategyConfig ca = report::class_aware_config(scale);
+      ca.loss.lambda1 = reg.lambda1;
+      ca.loss.lambda2 = reg.lambda2;
       cfg.model_factory = wb.factory;
       if (scale.name == "micro") cfg.max_iterations = std::min(cfg.max_iterations, 6);
-      core::ClassAwarePruner pruner(cfg);
-      const core::PruneRunResult res = pruner.run(wb.model, wb.data.train, wb.data.test);
+      strategy::ClassAwareStrategy strat(ca);
+      const strategy::StrategyRunResult res =
+          strategy::run_strategy(wb.model, strat, wb.data.train, wb.data.test, cfg);
 
       const bool is_vgg = std::string(arch) == "vgg16";
       const double paper_pruned = is_vgg ? reg.paper_vgg_pruned : reg.paper_rn_pruned;

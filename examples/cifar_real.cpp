@@ -11,10 +11,11 @@
 // binary is safe in automated runs.
 #include <iostream>
 
-#include "core/pruner.h"
 #include "data/cifar_binary.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 int main(int argc, char** argv) {
   using namespace capr;
@@ -58,18 +59,19 @@ int main(int argc, char** argv) {
   nn::train(model, cifar.train, tcfg, &reg);
   std::cout << "test accuracy " << nn::evaluate(model, cifar.test) * 100 << "%\n";
 
-  core::ClassAwarePrunerConfig pcfg;  // paper defaults: M=10, thr 3, 10%/iter
-  pcfg.importance.images_per_class = 10;
-  pcfg.finetune.epochs = std::max(1, epochs / 2);
-  pcfg.finetune.batch_size = 256;
-  pcfg.finetune.sgd.lr = 0.001f;
-  pcfg.max_iterations = 5;
-  pcfg.on_iteration = [](const core::IterationRecord& it) {
+  strategy::ClassAwareStrategy class_aware;  // paper defaults: M=10, thr 3
+  strategy::StrategyRunConfig rcfg;          // 10%/iter
+  rcfg.finetune.epochs = std::max(1, epochs / 2);
+  rcfg.finetune.batch_size = 256;
+  rcfg.finetune.sgd.lr = 0.001f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 5;
+  rcfg.on_iteration = [](const core::IterationRecord& it) {
     std::cout << "prune iter " << it.iteration << ": -" << it.filters_removed
               << " filters, acc " << it.accuracy_after_finetune * 100 << "%\n";
   };
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult res = pruner.run(model, cifar.train, cifar.test);
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(model, class_aware, cifar.train, cifar.test, rcfg);
   std::cout << "pruning ratio " << res.report.pruning_ratio() * 100 << "%, FLOPs -"
             << res.report.flops_reduction() * 100 << "%, accuracy "
             << res.final_accuracy * 100 << "%\n";

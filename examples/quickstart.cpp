@@ -11,11 +11,12 @@
 #include <iostream>
 
 #include "analysis/checked.h"
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/summary.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 int main() {
   using namespace capr;
@@ -51,22 +52,25 @@ int main() {
   std::cout << "trained: test accuracy " << nn::evaluate(model, dataset.test) * 100 << "%\n";
 
   // 3. Class-aware pruning (Fig. 5 loop).
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 8;        // M in Eq. 6
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;  // float32-friendly Eq. 5
-  pcfg.strategy.mode = core::StrategyMode::kBoth;       // threshold + percentage
-  pcfg.strategy.max_fraction_per_iter = 0.2f;
-  pcfg.finetune.epochs = 3;
-  pcfg.finetune.batch_size = 32;
-  pcfg.finetune.sgd.lr = 0.02f;
-  pcfg.max_accuracy_drop = 0.05f;
-  pcfg.max_iterations = 6;
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult result = pruner.run(model, dataset.train, dataset.test);
+  strategy::ClassAwareStrategyConfig ccfg;
+  ccfg.importance.images_per_class = 8;                 // M in Eq. 6
+  ccfg.importance.tau_mode = core::TauMode::kQuantile;  // float32-friendly Eq. 5
+  ccfg.mode = core::StrategyMode::kBoth;                // threshold + percentage
+  strategy::ClassAwareStrategy class_aware(ccfg);
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.2f;
+  rcfg.finetune.epochs = 3;
+  rcfg.finetune.batch_size = 32;
+  rcfg.finetune.sgd.lr = 0.02f;
+  rcfg.max_accuracy_drop = 0.05f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 6;
+  const strategy::StrategyRunResult result =
+      strategy::run_strategy(model, class_aware, dataset.train, dataset.test, rcfg);
 
   // 4. Report.
   std::cout << "\npruning finished (" << result.stop_reason << ") after "
-            << result.iterations.size() << " iterations\n";
+            << result.iterations_run << " iterations\n";
   std::cout << "accuracy : " << result.original_accuracy * 100 << "% -> "
             << result.final_accuracy * 100 << "%\n";
   std::cout << "params   : " << result.report.params_before << " -> "

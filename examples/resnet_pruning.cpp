@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/pruner.h"
+#include "core/surgeon.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 #include "tensor/serialize.h"
 
 int main() {
@@ -42,24 +44,26 @@ int main() {
   core::ModifiedLoss reg;
   nn::train(model, dataset.train, tcfg, &reg);
 
-  core::ClassAwarePrunerConfig pcfg;
-  pcfg.importance.images_per_class = 6;
-  pcfg.importance.tau_mode = core::TauMode::kQuantile;
-  pcfg.strategy.max_fraction_per_iter = 0.2f;
-  pcfg.finetune.epochs = 2;
-  pcfg.finetune.batch_size = 32;
-  pcfg.finetune.sgd.lr = 0.02f;
-  pcfg.max_accuracy_drop = 0.08f;
-  pcfg.max_iterations = 5;
-  core::ClassAwarePruner pruner(pcfg);
-  const core::PruneRunResult result = pruner.run(model, dataset.train, dataset.test);
-
+  strategy::ClassAwareStrategyConfig ccfg;
+  ccfg.importance.images_per_class = 6;
+  ccfg.importance.tau_mode = core::TauMode::kQuantile;
+  strategy::ClassAwareStrategy class_aware(ccfg);
+  strategy::StrategyRunConfig rcfg;
+  rcfg.limits.max_fraction_per_iter = 0.2f;
+  rcfg.finetune.epochs = 2;
+  rcfg.finetune.batch_size = 32;
+  rcfg.finetune.sgd.lr = 0.02f;
+  rcfg.max_accuracy_drop = 0.08f;
+  rcfg.recovery_rounds = 2;
+  rcfg.max_iterations = 5;
   std::cout << "\niteration trajectory:\n";
-  for (const core::IterationRecord& it : result.iterations) {
+  rcfg.on_iteration = [](const core::IterationRecord& it) {
     std::cout << "  iter " << it.iteration << ": removed " << it.filters_removed
               << " filters, " << it.filters_remaining << " remain, accuracy "
               << it.accuracy_after_finetune * 100 << "%, params " << it.params << "\n";
-  }
+  };
+  const strategy::StrategyRunResult result =
+      strategy::run_strategy(model, class_aware, dataset.train, dataset.test, rcfg);
   std::cout << "final: " << result.original_accuracy * 100 << "% -> "
             << result.final_accuracy * 100 << "% at pruning ratio "
             << result.report.pruning_ratio() * 100 << "%\n";
@@ -69,19 +73,10 @@ int main() {
   save_tensor_map(path, model.state_dict());
   std::cout << "\nsaved pruned checkpoint to " << path << "\n";
 
-  // A reload target must have the pruned shapes; replay the per-unit
-  // channel counts onto a fresh model, then load.
+  // A reload target must have the pruned shapes: load_pruned_checkpoint
+  // shrinks a fresh model to the checkpoint's channel counts, then loads.
   nn::Model fresh = models::make_resnet20(mcfg);
-  for (size_t u = 0; u < fresh.units.size(); ++u) {
-    const int64_t want = model.units[u].conv->out_channels();
-    const int64_t have = fresh.units[u].conv->out_channels();
-    if (want < have) {
-      std::vector<int64_t> drop;
-      for (int64_t f = want; f < have; ++f) drop.push_back(f);
-      core::remove_filters(fresh, u, drop);
-    }
-  }
-  fresh.load_state_dict(load_tensor_map(path));
+  core::load_pruned_checkpoint(fresh, load_tensor_map(path));
   std::cout << "reloaded accuracy " << nn::evaluate(fresh, dataset.test) * 100 << "%\n";
   std::remove(path.c_str());
   return 0;

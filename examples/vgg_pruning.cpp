@@ -4,7 +4,7 @@
 //
 //   $ ./build/examples/vgg_pruning
 //
-// Where the quickstart drives the whole loop through ClassAwarePruner,
+// Where the quickstart drives the whole loop through run_strategy,
 // this example performs one pruning iteration by hand — evaluate,
 // inspect, select, operate, fine-tune — which is the granularity a user
 // needs to build custom pruning schedules.

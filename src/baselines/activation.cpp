@@ -68,12 +68,12 @@ int64_t matrix_rank(const float* data, int64_t h, int64_t w, float rel_tol) {
   return rank;
 }
 
-UnitFilterScores APoZCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
-  CaptureAll guard(model);
-  model.forward(batch.images, /*training=*/false);
-  UnitFilterScores out;
-  for (auto& u : model.units) {
+strategy::ScoreSet APoZCriterion::score(const strategy::StrategyContext& ctx) {
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
+  CaptureAll guard(ctx.model);
+  ctx.model.forward(batch.images, /*training=*/false);
+  strategy::UnitFilterScores out;
+  for (auto& u : ctx.model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const int64_t n = a.dim(0), f = a.dim(1);
     const int64_t plane = a.numel() / (n * f);
@@ -91,15 +91,15 @@ UnitFilterScores APoZCriterion::score(nn::Model& model, const data::Dataset& tra
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
-UnitFilterScores HRankCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
-  CaptureAll guard(model);
-  model.forward(batch.images, /*training=*/false);
-  UnitFilterScores out;
-  for (auto& u : model.units) {
+strategy::ScoreSet HRankCriterion::score(const strategy::StrategyContext& ctx) {
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
+  CaptureAll guard(ctx.model);
+  ctx.model.forward(batch.images, /*training=*/false);
+  strategy::UnitFilterScores out;
+  for (auto& u : ctx.model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const int64_t n = a.dim(0), f = a.dim(1);
     if (a.rank() != 4) {
@@ -120,18 +120,18 @@ UnitFilterScores HRankCriterion::score(nn::Model& model, const data::Dataset& tr
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
-UnitFilterScores TaylorFOCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
-  CaptureAll guard(model);
+strategy::ScoreSet TaylorFOCriterion::score(const strategy::StrategyContext& ctx) {
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
+  CaptureAll guard(ctx.model);
   nn::SoftmaxCrossEntropy ce;
-  const Tensor logits = model.forward(batch.images, /*training=*/false);
+  const Tensor logits = ctx.model.forward(batch.images, /*training=*/false);
   ce.forward(logits, batch.labels);
-  model.backward(ce.backward());
-  UnitFilterScores out;
-  for (auto& u : model.units) {
+  ctx.model.backward(ce.backward());
+  strategy::UnitFilterScores out;
+  for (auto& u : ctx.model.units) {
     const Tensor& a = u.score_point->instrument().captured_output;
     const Tensor& g = u.score_point->instrument().captured_grad;
     const int64_t n = a.dim(0), f = a.dim(1);
@@ -150,7 +150,7 @@ UnitFilterScores TaylorFOCriterion::score(nn::Model& model, const data::Dataset&
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
 }  // namespace capr::baselines

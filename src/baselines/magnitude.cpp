@@ -16,78 +16,30 @@ double filter_reduce(const nn::Conv2d& conv, int64_t filter, int p) {
   return acc;
 }
 
-/// Sum over the in-channel slice `ch` of a consumer conv: w^2.
-double in_channel_sq(const nn::Conv2d& conv, int64_t ch) {
-  const int64_t kk = conv.kernel() * conv.kernel();
-  double acc = 0.0;
-  for (int64_t f = 0; f < conv.out_channels(); ++f) {
-    const float* w = conv.weight().value.data() + (f * conv.in_channels() + ch) * kk;
-    for (int64_t i = 0; i < kk; ++i) acc += static_cast<double>(w[i]) * w[i];
-  }
-  return acc;
-}
-
-/// Sum over the in-feature block of a consumer linear for channel `ch`.
-double linear_block_sq(const nn::Linear& lin, int64_t ch, int64_t spatial) {
-  double acc = 0.0;
-  for (int64_t o = 0; o < lin.out_features(); ++o) {
-    const float* w = lin.weight().value.data() + o * lin.in_features() + ch * spatial;
-    for (int64_t i = 0; i < spatial; ++i) acc += static_cast<double>(w[i]) * w[i];
-  }
-  return acc;
-}
-
 }  // namespace
 
-UnitFilterScores L1Criterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet L1Criterion::score(const strategy::StrategyContext& ctx) {
+  strategy::UnitFilterScores out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
       s[static_cast<size_t>(f)] = static_cast<float>(filter_reduce(*u.conv, f, 1));
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
-UnitFilterScores L2Criterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet L2Criterion::score(const strategy::StrategyContext& ctx) {
+  strategy::UnitFilterScores out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
       s[static_cast<size_t>(f)] = static_cast<float>(std::sqrt(filter_reduce(*u.conv, f, 2)));
     }
     out.push_back(std::move(s));
   }
-  return out;
-}
-
-UnitFilterScores DepGraphCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (nn::PrunableUnit& u : model.units) {
-    std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
-    for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
-      double group = filter_reduce(*u.conv, f, 2);
-      if (full_grouping_) {
-        if (u.bn != nullptr) {
-          const float g = u.bn->gamma().value[f];
-          const float b = u.bn->beta().value[f];
-          group += static_cast<double>(g) * g + static_cast<double>(b) * b;
-        }
-        for (const nn::ConsumerRef& c : u.consumers) {
-          if (c.conv != nullptr) {
-            group += in_channel_sq(*c.conv, f);
-          } else if (c.linear != nullptr) {
-            group += linear_block_sq(*c.linear, f, c.spatial);
-          }
-        }
-      }
-      s[static_cast<size_t>(f)] = static_cast<float>(std::sqrt(group));
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
 }  // namespace capr::baselines

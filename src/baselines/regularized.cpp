@@ -28,9 +28,9 @@ float SSSCriterion::GammaL1::apply(nn::Model& model) {
   return static_cast<float>(static_cast<double>(lambda_) * penalty);
 }
 
-UnitFilterScores SSSCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet SSSCriterion::score(const strategy::StrategyContext& ctx) {
+  strategy::UnitFilterScores out;
+  for (nn::PrunableUnit& u : ctx.model.units) {
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()), 1.0f);
     if (u.bn != nullptr) {
       for (int64_t f = 0; f < u.bn->channels(); ++f) {
@@ -39,7 +39,7 @@ UnitFilterScores SSSCriterion::score(nn::Model& model, const data::Dataset&) {
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
 OrthConvCriterion::OrthConvCriterion(float lambda_orth) {
@@ -49,9 +49,9 @@ OrthConvCriterion::OrthConvCriterion(float lambda_orth) {
   reg_ = std::make_unique<core::ModifiedLoss>(cfg);
 }
 
-UnitFilterScores OrthConvCriterion::score(nn::Model& model, const data::Dataset&) {
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+strategy::ScoreSet OrthConvCriterion::score(const strategy::StrategyContext& ctx) {
+  strategy::UnitFilterScores out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     const int64_t fsz = u.conv->in_channels() * u.conv->kernel() * u.conv->kernel();
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
@@ -62,20 +62,20 @@ UnitFilterScores OrthConvCriterion::score(nn::Model& model, const data::Dataset&
     }
     out.push_back(std::move(s));
   }
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
-UnitFilterScores TPPCriterion::score(nn::Model& model, const data::Dataset& train_set) {
-  const data::Batch batch = balanced_sample(train_set, images_per_class_, seed_);
-  const std::vector<nn::Param*> params = model.params();
+strategy::ScoreSet TPPCriterion::score(const strategy::StrategyContext& ctx) {
+  const data::Batch batch = data::balanced_sample(ctx.train_set, images_per_class_, seed_);
+  const std::vector<nn::Param*> params = ctx.model.params();
   nn::SGD::zero_grad(params);
   nn::SoftmaxCrossEntropy ce;
-  const Tensor logits = model.forward(batch.images, /*training=*/false);
+  const Tensor logits = ctx.model.forward(batch.images, /*training=*/false);
   ce.forward(logits, batch.labels);
-  model.backward(ce.backward());
+  ctx.model.backward(ce.backward());
 
-  UnitFilterScores out;
-  for (const nn::PrunableUnit& u : model.units) {
+  strategy::UnitFilterScores out;
+  for (const nn::PrunableUnit& u : ctx.model.units) {
     const int64_t fsz = u.conv->in_channels() * u.conv->kernel() * u.conv->kernel();
     std::vector<float> s(static_cast<size_t>(u.conv->out_channels()));
     for (int64_t f = 0; f < u.conv->out_channels(); ++f) {
@@ -91,7 +91,7 @@ UnitFilterScores TPPCriterion::score(nn::Model& model, const data::Dataset& trai
     out.push_back(std::move(s));
   }
   nn::SGD::zero_grad(params);
-  return out;
+  return strategy::admitted_scores(ctx, std::move(out));
 }
 
 }  // namespace capr::baselines

@@ -63,7 +63,7 @@ void remove_filters(nn::Model& model, size_t unit_index, const std::vector<int64
 }
 
 int64_t apply_selection(nn::Model& model, const std::vector<UnitSelection>& selection) {
-  if (plan_validator()) plan_validator()(model, selection, nullptr);
+  if (plan_validator()) plan_validator()(model, selection);
   int64_t removed = 0;
   for (const UnitSelection& sel : selection) {
     remove_filters(model, sel.unit_index, sel.filters);
@@ -104,63 +104,6 @@ void load_pruned_checkpoint(nn::Model& model, const std::map<std::string, Tensor
     }
   }
   model.load_state_dict(dict);
-}
-
-PruneHistory::PruneHistory(const nn::Model& model) {
-  kept_.reserve(model.units.size());
-  for (const nn::PrunableUnit& u : model.units) {
-    std::vector<int64_t> all(static_cast<size_t>(u.conv->out_channels()));
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
-    kept_.push_back(std::move(all));
-    original_counts_.push_back(u.conv->out_channels());
-  }
-}
-
-void PruneHistory::apply(const std::vector<UnitSelection>& selection) {
-  for (const UnitSelection& sel : selection) {
-    if (sel.unit_index >= kept_.size()) {
-      throw std::out_of_range("PruneHistory: unit index " + std::to_string(sel.unit_index) +
-                              " out of range (history tracks " + std::to_string(kept_.size()) +
-                              " units)");
-    }
-    std::vector<int64_t>& kept = kept_[sel.unit_index];
-    // sel.filters must be sorted ascending and duplicate-free — an
-    // unsorted or repeated index would silently erase the wrong
-    // originals; erase from the back so earlier positions stay valid.
-    for (size_t i = 1; i < sel.filters.size(); ++i) {
-      if (sel.filters[i] <= sel.filters[i - 1]) {
-        throw std::invalid_argument(
-            "PruneHistory: unit " + std::to_string(sel.unit_index) +
-            ": filter indices must be strictly ascending, got " +
-            std::to_string(sel.filters[i - 1]) + " before " + std::to_string(sel.filters[i]));
-      }
-    }
-    for (int64_t f : sel.filters) {
-      if (f < 0 || f >= static_cast<int64_t>(kept.size())) {
-        throw std::out_of_range("PruneHistory: unit " + std::to_string(sel.unit_index) +
-                                ": filter index " + std::to_string(f) + " out of range (" +
-                                std::to_string(kept.size()) + " live filters)");
-      }
-    }
-    for (auto it = sel.filters.rbegin(); it != sel.filters.rend(); ++it) {
-      kept.erase(kept.begin() + static_cast<int64_t>(*it));
-    }
-  }
-}
-
-std::vector<std::vector<int64_t>> PruneHistory::removed_original() const {
-  std::vector<std::vector<int64_t>> out(kept_.size());
-  for (size_t u = 0; u < kept_.size(); ++u) {
-    size_t k = 0;
-    for (int64_t i = 0; i < original_counts_[u]; ++i) {
-      if (k < kept_[u].size() && kept_[u][k] == i) {
-        ++k;
-      } else {
-        out[u].push_back(i);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace capr::core

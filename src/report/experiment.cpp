@@ -186,16 +186,11 @@ Workbench prepare_workbench(const std::string& arch, int64_t classes,
   return wb;
 }
 
-core::ClassAwarePrunerConfig pruner_config(const ExperimentScale& scale) {
-  core::ClassAwarePrunerConfig cfg;
-  cfg.importance.images_per_class = scale.images_per_class_scoring;
-  cfg.importance.tau = scale.tau;
-  cfg.importance.tau_mode = scale.tau_mode;
-  cfg.importance.tau_quantile = scale.tau_quantile;
-  cfg.strategy.mode = core::StrategyMode::kBoth;
-  cfg.strategy.max_fraction_per_iter = scale.max_fraction_per_iter;
-  cfg.strategy.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
-  cfg.strategy.min_filters_per_layer = 2;
+strategy::StrategyRunConfig run_config(const ExperimentScale& scale) {
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = scale.max_fraction_per_iter;
+  cfg.limits.max_layer_fraction_per_iter = scale.max_layer_fraction_per_iter;
+  cfg.limits.min_filters_per_layer = 2;
   cfg.finetune.epochs = scale.finetune_epochs;
   cfg.finetune.batch_size = scale.batch_size;
   cfg.finetune.sgd.lr = 0.02f;
@@ -204,6 +199,15 @@ core::ClassAwarePrunerConfig pruner_config(const ExperimentScale& scale) {
   cfg.max_accuracy_drop = scale.max_accuracy_drop;
   cfg.recovery_rounds = scale.recovery_rounds;
   cfg.max_iterations = scale.max_iterations;
+  return cfg;
+}
+
+strategy::ClassAwareStrategyConfig class_aware_config(const ExperimentScale& scale) {
+  strategy::ClassAwareStrategyConfig cfg;
+  cfg.importance.images_per_class = scale.images_per_class_scoring;
+  cfg.importance.tau = scale.tau;
+  cfg.importance.tau_mode = scale.tau_mode;
+  cfg.importance.tau_quantile = scale.tau_quantile;
   return cfg;
 }
 

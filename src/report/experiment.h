@@ -8,12 +8,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
-#include "core/pruner.h"
 #include "data/synthetic.h"
 #include "models/builders.h"
 #include "nn/model.h"
+#include "strategy/class_aware.h"
+#include "strategy/runner.h"
 
 namespace capr::report {
 
@@ -66,7 +68,8 @@ BenchArgs parse_bench_args(int argc, char** argv);
 
 /// A ready-to-prune experiment: synthetic dataset plus a model pre-trained
 /// with the paper's modified cost (Eq. 1). `factory` rebuilds a fresh
-/// unpruned copy of the same architecture (used for pruner rollback).
+/// unpruned copy of the same architecture (the run_strategy rollback
+/// factory).
 struct Workbench {
   nn::Model model;
   data::SyntheticCifar data;
@@ -86,10 +89,15 @@ Workbench prepare_workbench(const std::string& arch, int64_t classes,
                             const ExperimentScale& scale, float lambda1 = 1e-4f,
                             float lambda2 = 1e-2f, uint64_t seed = 42);
 
-/// Class-aware pruner configuration matching `scale` and the paper's
-/// strategy defaults (threshold 0.3*C, 10%/iteration, modified-loss
-/// fine-tuning).
-core::ClassAwarePrunerConfig pruner_config(const ExperimentScale& scale);
+/// The prune/fine-tune loop configuration matching `scale`: caps,
+/// fine-tuning schedule, recovery rounds and stop rule. Every method a
+/// bench compares runs under this one config (set model_factory to
+/// enable rollback).
+strategy::StrategyRunConfig run_config(const ExperimentScale& scale);
+
+/// Class-aware scoring configuration matching `scale` and the paper's
+/// strategy defaults (threshold 0.3*C capped by the percentage).
+strategy::ClassAwareStrategyConfig class_aware_config(const ExperimentScale& scale);
 
 /// Standard bench banner: experiment id, paper reference and scale note.
 void print_banner(const std::string& experiment, const std::string& what);

@@ -2,28 +2,13 @@
 
 namespace capr::strategy {
 
-ClassAwareStrategy::ClassAwareStrategy(ClassAwareStrategyConfig cfg) : cfg_(cfg) {
-  if (cfg_.finetune_with_modified_loss) {
-    modified_loss_ = std::make_unique<core::ModifiedLoss>(cfg_.loss);
-  }
-}
-
 ScoreSet ClassAwareStrategy::score(const StrategyContext& ctx) {
   core::ImportanceEvaluator evaluator(cfg_.importance);
-  const core::ImportanceResult result = evaluator.evaluate(ctx.model, ctx.train_set);
-
-  ScoreSet out;
-  out.num_classes = result.num_classes;
-  for (const PrunableGroup& pg : prunable_groups(ctx)) {
-    // The evaluator scores model.units positionally; forward the totals
-    // of the units the graph admits, untouched (bitwise parity with the
-    // legacy select_filters path).
-    const core::UnitScores& scores = result.units.at(pg.unit_index);
-    out.groups.push_back({pg.unit_index, scores.unit_name, scores.total});
-  }
-  return out;
+  core::ImportanceResult result = evaluator.evaluate(ctx.model, ctx.train_set);
+  UnitFilterScores totals;
+  totals.reserve(result.units.size());
+  for (core::UnitScores& u : result.units) totals.push_back(std::move(u.total));
+  return admitted_scores(ctx, std::move(totals));
 }
-
-nn::Regularizer* ClassAwareStrategy::train_regularizer() { return modified_loss_.get(); }
 
 }  // namespace capr::strategy

@@ -1,13 +1,11 @@
 // The paper's class-aware method behind the PruneStrategy interface.
 //
-// Scoring delegates to core::ImportanceEvaluator (Eqs. 3-7) and is
-// bitwise-identical to the legacy select_filters path: the evaluator's
-// per-unit totals are forwarded untouched, and the shared engine is the
-// same code the legacy path calls (tests/strategy_iface_test.cpp proves
-// selection and surgery parity on all nine architectures).
+// Scoring delegates to core::ImportanceEvaluator (Eqs. 3-7): the
+// evaluator's per-unit totals are forwarded untouched to the shared
+// selection engine (tests/strategy_iface_test.cpp proves selection and
+// surgery parity with the flat core::select_filters path on all nine
+// architectures). Fine-tuning uses the modified cost (Eq. 1).
 #pragma once
-
-#include <memory>
 
 #include "core/importance.h"
 #include "core/modified_loss.h"
@@ -22,25 +20,22 @@ struct ClassAwareStrategyConfig {
   core::StrategyMode mode = core::StrategyMode::kBoth;
   /// < 0 selects the paper's 0.3 * num_classes rule.
   float score_threshold = -1.0f;
-  /// Fine-tune with the modified cost (Eq. 1), as the paper does.
-  bool finetune_with_modified_loss = true;
 };
 
 class ClassAwareStrategy final : public PruneStrategy {
  public:
-  explicit ClassAwareStrategy(ClassAwareStrategyConfig cfg = {});
+  explicit ClassAwareStrategy(ClassAwareStrategyConfig cfg = {})
+      : cfg_(cfg), modified_loss_(cfg.loss) {}
 
   std::string name() const override { return "class-aware"; }
   ScoreSet score(const StrategyContext& ctx) override;
   core::StrategyMode mode() const override { return cfg_.mode; }
   float score_threshold() const override { return cfg_.score_threshold; }
-  nn::Regularizer* train_regularizer() override;
-
-  const ClassAwareStrategyConfig& config() const { return cfg_; }
+  nn::Regularizer* train_regularizer() override { return &modified_loss_; }
 
  private:
   ClassAwareStrategyConfig cfg_;
-  std::unique_ptr<core::ModifiedLoss> modified_loss_;
+  core::ModifiedLoss modified_loss_;
 };
 
 }  // namespace capr::strategy

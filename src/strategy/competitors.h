@@ -4,9 +4,9 @@
 //    al.): a filter's importance is the l2 norm of the WHOLE coupled
 //    channel, read directly off the graph's CouplingGroup (producer
 //    out-slice + BN gamma/beta + every consumer in-slice, with the
-//    Linear spatial factor). Where the DepGraph baseline walks the
-//    hand-annotated model.units, this one is computed from the graph
-//    IR itself — the CouplingGroups ARE the dependency sets.
+//    Linear spatial factor), computed from the graph IR itself — the
+//    CouplingGroups ARE the dependency sets. This is also the
+//    full-grouping DepGraph row of Fig. 6.
 //  - ProvableStrategy — Provable Filter Pruning (Liebenwein et al.):
 //    sampling-based empirical sensitivity. Over a balanced sample,
 //    a filter's sensitivity is the worst-case (max over images) share

@@ -1,5 +1,6 @@
 #include "strategy/runner.h"
 
+#include <map>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
@@ -19,6 +20,9 @@ StrategyRunResult run_strategy(nn::Model& model, PruneStrategy& strat,
   const flops::ModelCost cost_before = flops::count(model);
   result.original_accuracy = nn::evaluate(model, test_set);
   result.stop_reason = "max iterations reached";
+  const auto unrecovered = [&](float accuracy) {
+    return result.original_accuracy - accuracy > cfg.max_accuracy_drop;
+  };
 
   float accuracy = result.original_accuracy;
   for (int iter = 0; iter < cfg.max_iterations; ++iter) {
@@ -33,36 +37,53 @@ StrategyRunResult run_strategy(nn::Model& model, PruneStrategy& strat,
       result.stop_reason = "no prunable filters remain";
       break;
     }
-    if (cfg.certify) {
-      const core::PruneStrategyConfig scfg = selection_config(strat, cfg.limits);
-      analysis::VerifyOptions opts;
-      opts.strategy = &scfg;
-      analysis::require_ok(analysis::analyze_plan(model, selection, opts));
-    }
-    result.filters_removed += core::apply_selection(model, selection);
+    const core::PruneStrategyConfig scfg = selection_config(strat, cfg.limits);
+    analysis::VerifyOptions opts;
+    opts.strategy = &scfg;
+    analysis::require_ok(analysis::analyze_plan(model, selection, opts));
+
+    std::map<std::string, Tensor> snapshot;
+    if (cfg.model_factory) snapshot = model.state_dict();
+    const int64_t removed = core::apply_selection(model, selection);
 
     nn::TrainConfig ft = cfg.finetune;
     ft.loader_seed = cfg.finetune.loader_seed + static_cast<uint64_t>(iter) + 1;
     nn::train(model, train_set, ft, strat.train_regularizer());
-    accuracy = nn::evaluate(model, test_set);
-    result.iterations_run = iter + 1;
+    float new_accuracy = nn::evaluate(model, test_set);
+    for (int round = 0; round < cfg.recovery_rounds && unrecovered(new_accuracy); ++round) {
+      ft.loader_seed += 7919;
+      nn::train(model, train_set, ft, strat.train_regularizer());
+      new_accuracy = nn::evaluate(model, test_set);
+    }
 
+    if (unrecovered(new_accuracy)) {
+      result.stop_reason = "accuracy drop not recovered by fine-tuning";
+      if (cfg.model_factory) {
+        // The snapshot is the pre-surgery model: reload it into a fresh
+        // copy of the architecture shrunk to the snapshot's shapes.
+        nn::Model restored = cfg.model_factory();
+        core::load_pruned_checkpoint(restored, snapshot);
+        model = std::move(restored);
+        result.stop_reason += " (iteration rolled back)";
+        break;
+      }
+    }
+
+    accuracy = new_accuracy;
+    result.filters_removed += removed;
+    result.iterations_run = iter + 1;
     if (cfg.on_iteration) {
       const flops::ModelCost cost_now = flops::count(model);
       core::IterationRecord rec;
       rec.iteration = iter;
-      rec.filters_removed = core::selection_size(selection);
+      rec.filters_removed = removed;
       rec.filters_remaining = core::total_prunable_filters(model);
       rec.accuracy_after_finetune = accuracy;
       rec.params = cost_now.total_params;
       rec.flops = cost_now.total_flops;
       cfg.on_iteration(rec);
     }
-
-    if (result.original_accuracy - accuracy > cfg.max_accuracy_drop) {
-      result.stop_reason = "accuracy drop not recovered by fine-tuning";
-      break;
-    }
+    if (unrecovered(accuracy)) break;
   }
 
   result.final_accuracy = accuracy;

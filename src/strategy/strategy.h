@@ -1,18 +1,16 @@
 // The graph-driven pruning strategy interface.
 //
-// Historically the repo had two parallel pruning drivers: the
-// class-aware path (core::ClassAwarePruner over ImportanceResult) and
-// the baseline path (baselines::BaselinePruner over flat per-unit score
-// vectors), each with its own copy of the selection machinery. This
-// library collapses them: a PruneStrategy consumes the model together
-// with its graph::ModuleGraph, scores each prunable CouplingGroup, and
-// every method's scores flow through the ONE selection engine
-// (core::select_scored) under the same SelectionLimits.
+// Every pruning method — the class-aware method, the Fig. 6 baselines
+// (src/baselines) and the tournament competitors — implements
+// PruneStrategy: it consumes the model together with its
+// graph::ModuleGraph and scores each prunable CouplingGroup. Every
+// method's scores flow through the ONE selection engine
+// (core::select_scored) under the same SelectionLimits, and through the
+// one prune/fine-tune loop (strategy::run_strategy).
 //
 // The graph is the source of truth for what may be pruned: groups that
 // are residual-constrained or consumer-less are filtered out BEFORE
-// selection, so no strategy — class-aware, baseline or tournament
-// entrant — can emit a plan the analyzer would refuse.
+// selection, so no strategy can emit a plan the analyzer would refuse.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +100,15 @@ std::vector<PrunableGroup> prunable_groups(const StrategyContext& ctx);
 /// engine and the analyzer certify against).
 core::PruneStrategyConfig selection_config(const PruneStrategy& strat,
                                            const core::SelectionLimits& limits);
+
+/// Per-unit, per-filter scores indexed like model.units: scores[u][f].
+using UnitFilterScores = std::vector<std::vector<float>>;
+
+/// Wraps scores computed positionally over model.units as a ScoreSet,
+/// keeping only the units prunable_groups(ctx) admits — how every
+/// method inherits the residual-constraint filter. num_classes comes
+/// from ctx.train_set.
+ScoreSet admitted_scores(const StrategyContext& ctx, UnitFilterScores per_unit);
 
 /// Runs the shared selection engine over a strategy's scores: mode and
 /// threshold from the strategy, caps and floors from `limits`.

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "baselines/activation.h"
-#include "baselines/baseline_pruner.h"
 #include "baselines/magnitude.h"
 #include "baselines/regularized.h"
 #include "data/synthetic.h"
+#include "graph/graph.h"
 #include "models/builders.h"
 #include "nn/trainer.h"
+#include "strategy/competitors.h"
+#include "strategy/runner.h"
 #include "test_util.h"
 
 namespace capr::baselines {
@@ -29,16 +31,27 @@ struct Fixture {
     dcfg.image_size = 8;
     data = data::make_synthetic_cifar(dcfg);
   }
+
+  /// Per-unit scores of `s` on the current model (every unit of the tiny
+  /// CNN is prunable, so group u is unit u).
+  std::vector<std::vector<float>> score(strategy::PruneStrategy& s) {
+    const graph::ModuleGraph g = graph::ModuleGraph::build(model);
+    std::vector<std::vector<float>> out;
+    for (strategy::GroupScores& gs : s.score({model, g, data.train}).groups) {
+      out.push_back(std::move(gs.total));
+    }
+    return out;
+  }
 };
 
 TEST(BalancedSampleTest, OnePerClass) {
   Fixture f;
-  const data::Batch b = balanced_sample(f.data.train, 2, 1);
+  const data::Batch b = data::balanced_sample(f.data.train, 2, 1);
   EXPECT_EQ(b.size(), 6);
   std::vector<int64_t> counts(3, 0);
   for (int64_t lbl : b.labels) ++counts[static_cast<size_t>(lbl)];
   for (int64_t c : counts) EXPECT_EQ(c, 2);
-  EXPECT_THROW(balanced_sample(f.data.train, 0, 1), std::invalid_argument);
+  EXPECT_THROW(data::balanced_sample(f.data.train, 0, 1), std::invalid_argument);
 }
 
 TEST(MatrixRankTest, KnownRanks) {
@@ -62,7 +75,7 @@ TEST(L1CriterionTest, RanksByMagnitude) {
     conv->weight().value[k * fsz] = static_cast<float>(k + 1);
   }
   L1Criterion crit;
-  const auto scores = crit.score(f.model, f.data.train);
+  const auto scores = f.score(crit);
   for (int64_t k = 0; k + 1 < conv->out_channels(); ++k) {
     EXPECT_LT(scores[0][static_cast<size_t>(k)], scores[0][static_cast<size_t>(k + 1)]);
   }
@@ -72,16 +85,15 @@ TEST(CriteriaShapesTest, AllCriteriaReturnPerFilterScores) {
   Fixture f;
   L1Criterion l1;
   L2Criterion l2;
-  DepGraphCriterion dg_full(true), dg_no(false);
   SSSCriterion sss;
   OrthConvCriterion orth;
   TPPCriterion tpp(2);
   APoZCriterion apoz(2);
   HRankCriterion hrank(2);
   TaylorFOCriterion taylor(2);
-  for (Criterion* c : std::initializer_list<Criterion*>{&l1, &l2, &dg_full, &dg_no, &sss,
-                                                        &orth, &tpp, &apoz, &hrank, &taylor}) {
-    const auto scores = c->score(f.model, f.data.train);
+  for (strategy::PruneStrategy* c : std::initializer_list<strategy::PruneStrategy*>{
+           &l1, &l2, &sss, &orth, &tpp, &apoz, &hrank, &taylor}) {
+    const auto scores = f.score(*c);
     ASSERT_EQ(scores.size(), f.model.units.size()) << c->name();
     for (size_t u = 0; u < scores.size(); ++u) {
       EXPECT_EQ(scores[u].size(),
@@ -98,7 +110,8 @@ TEST(CriteriaShapesTest, AllCriteriaReturnPerFilterScores) {
 TEST(DepGraphTest, FullGroupingCountsConsumerNorms) {
   Fixture f;
   // Zero everything, then give filter 0 weight only in the CONSUMER's
-  // in-channel slice: no-grouping scores it 0, full-grouping > 0.
+  // in-channel slice: no-grouping (L2) scores it 0, full-grouping
+  // (dependency-aware) > 0.
   f.model.units[0].conv->weight().value.fill(0.0f);
   f.model.units[0].bn->gamma().value.fill(0.0f);
   f.model.units[0].bn->beta().value.fill(0.0f);
@@ -107,9 +120,10 @@ TEST(DepGraphTest, FullGroupingCountsConsumerNorms) {
   const int64_t kk = consumer->kernel() * consumer->kernel();
   consumer->weight().value[0 * consumer->in_channels() * kk + 0 * kk] = 2.0f;
 
-  DepGraphCriterion no_group(false), full_group(true);
-  const auto sn = no_group.score(f.model, f.data.train);
-  const auto sf = full_group.score(f.model, f.data.train);
+  L2Criterion no_group;
+  strategy::DependencyAwareStrategy full_group;
+  const auto sn = f.score(no_group);
+  const auto sf = f.score(full_group);
   EXPECT_FLOAT_EQ(sn[0][0], 0.0f);
   EXPECT_GT(sf[0][0], 1.0f);
 }
@@ -119,7 +133,7 @@ TEST(SSSCriterionTest, ScoresAreGammaMagnitudes) {
   f.model.units[0].bn->gamma().value[0] = -0.25f;
   f.model.units[0].bn->gamma().value[1] = 0.75f;
   SSSCriterion sss;
-  const auto scores = sss.score(f.model, f.data.train);
+  const auto scores = f.score(sss);
   EXPECT_FLOAT_EQ(scores[0][0], 0.25f);
   EXPECT_FLOAT_EQ(scores[0][1], 0.75f);
 }
@@ -145,7 +159,7 @@ TEST(APoZTest, DeadChannelGetsLowScore) {
   u.bn->gamma().value[0] = 0.0f;
   u.bn->beta().value[0] = -1.0f;  // pushes pre-ReLU negative
   APoZCriterion apoz(3);
-  const auto scores = apoz.score(f.model, f.data.train);
+  const auto scores = f.score(apoz);
   EXPECT_NEAR(scores[0][0], 0.0f, 1e-5f);
   // Some other channel fires on real data.
   float best = 0.0f;
@@ -156,14 +170,14 @@ TEST(APoZTest, DeadChannelGetsLowScore) {
 TEST(HRankTest, ConstantMapHasRankOne) {
   Fixture f;
   HRankCriterion hrank(2);
-  const auto scores = hrank.score(f.model, f.data.train);
+  const auto scores = f.score(hrank);
   for (float s : scores[0]) {
     EXPECT_GE(s, 0.0f);
     EXPECT_LE(s, 8.0f);  // bounded by the feature-map side
   }
 }
 
-TEST(BaselinePrunerTest, EndToEndWithL1) {
+TEST(CriterionRunTest, EndToEndWithL1) {
   Fixture f;
   nn::TrainConfig tcfg;
   tcfg.epochs = 8;
@@ -171,29 +185,29 @@ TEST(BaselinePrunerTest, EndToEndWithL1) {
   tcfg.sgd.lr = 0.05f;
   nn::train(f.model, f.data.train, tcfg);
 
-  BaselinePrunerConfig cfg;
-  cfg.max_fraction_per_iter = 0.2f;
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.2f;
   cfg.max_iterations = 3;
   cfg.max_accuracy_drop = 0.3f;
   cfg.finetune.epochs = 2;
   cfg.finetune.batch_size = 12;
   cfg.finetune.sgd.lr = 0.02f;
-  BaselinePruner pruner(cfg);
   L1Criterion crit;
-  const BaselineRunResult res = pruner.run(f.model, crit, f.data.train, f.data.test);
+  const strategy::StrategyRunResult res =
+      strategy::run_strategy(f.model, crit, f.data.train, f.data.test, cfg);
   EXPECT_EQ(res.method, "L1");
   EXPECT_GT(res.report.pruning_ratio(), 0.0);
   EXPECT_GT(res.iterations_run, 0);
   EXPECT_FALSE(res.stop_reason.empty());
 }
 
-TEST(BaselinePrunerTest, RejectsBadFraction) {
+TEST(CriterionRunTest, RejectsBadFraction) {
   Fixture f;
-  BaselinePrunerConfig cfg;
-  cfg.max_fraction_per_iter = 0.0f;
-  BaselinePruner pruner(cfg);
+  strategy::StrategyRunConfig cfg;
+  cfg.limits.max_fraction_per_iter = 0.0f;
   L1Criterion crit;
-  EXPECT_THROW(pruner.run(f.model, crit, f.data.train, f.data.test), std::invalid_argument);
+  EXPECT_THROW(strategy::run_strategy(f.model, crit, f.data.train, f.data.test, cfg),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -81,19 +81,23 @@ TEST(ScaleTest, EnvSelection) {
   unsetenv("CAPR_SCALE");
 }
 
-TEST(ScaleTest, PrunerConfigMirrorsScale) {
+TEST(ScaleTest, RunConfigsMirrorScale) {
   ExperimentScale s;
   s.images_per_class_scoring = 7;
   s.max_fraction_per_iter = 0.33f;
   s.max_accuracy_drop = 0.11f;
   s.max_iterations = 13;
   s.finetune_epochs = 3;
-  const core::ClassAwarePrunerConfig cfg = pruner_config(s);
-  EXPECT_EQ(cfg.importance.images_per_class, 7);
-  EXPECT_FLOAT_EQ(cfg.strategy.max_fraction_per_iter, 0.33f);
+  s.recovery_rounds = 4;
+  const strategy::StrategyRunConfig cfg = run_config(s);
+  EXPECT_FLOAT_EQ(cfg.limits.max_fraction_per_iter, 0.33f);
   EXPECT_FLOAT_EQ(cfg.max_accuracy_drop, 0.11f);
   EXPECT_EQ(cfg.max_iterations, 13);
   EXPECT_EQ(cfg.finetune.epochs, 3);
+  EXPECT_EQ(cfg.recovery_rounds, 4);
+  EXPECT_FALSE(cfg.model_factory);
+  EXPECT_EQ(class_aware_config(s).importance.images_per_class, 7);
+  EXPECT_EQ(smoke_scale().recovery_rounds, 1);
 }
 
 TEST(WorkbenchTest, FactoryRebuildsMatchingShapes) {

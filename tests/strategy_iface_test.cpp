@@ -2,7 +2,7 @@
 //  - the class-aware path through strategy::ClassAwareStrategy is
 //    bitwise-identical (selections AND pruned weights) to the legacy
 //    core::select_filters path on all nine architectures;
-//  - the shared engine reproduces the old BaselinePruner selection
+//  - the shared engine reproduces the legacy baseline select_lowest
 //    semantics in percentage mode;
 //  - residual-constrained groups are filtered out of every strategy's
 //    view before selection;
@@ -122,7 +122,7 @@ TEST(StrategyParityTest, ClassAwareBitwiseIdenticalOnAllArchs) {
   }
 }
 
-// The engine in percentage mode reproduces the deleted BaselinePruner
+// The engine in percentage mode reproduces the legacy baseline
 // select_lowest semantics: lowest-scoring global fraction, per-layer
 // floor and cap, grouped per unit with ascending filter indices.
 TEST(StrategyEngineTest, PercentageModeMatchesLegacyBaselineSemantics) {
@@ -144,7 +144,7 @@ TEST(StrategyEngineTest, PercentageModeMatchesLegacyBaselineSemantics) {
 
 // A residual-constrained group never reaches a strategy's score set,
 // even when someone hand-registers it as a model unit (the old
-// BaselinePruner would happily have pruned it).
+// positional baseline driver would happily have pruned it).
 TEST(StrategyFilterTest, ResidualConstrainedGroupsAreExcluded) {
   models::BuildConfig mcfg;
   nn::Model model = models::make_resnet20(mcfg);
