@@ -24,6 +24,9 @@ struct BenchSpec {
   int threads = 1;
   int64_t m = 0, k = 0, n = 0;
   double flops = 0.0;  // per iteration
+  /// Elements produced per iteration by a data-movement row (no FLOPs):
+  /// such a row reports ns_per_elem instead of gflops.
+  double elems = 0.0;
 };
 
 /// Captured timing for one benchmark run.
@@ -34,8 +37,9 @@ struct CaptureRow {
   int64_t iterations = 0;
 };
 
-/// Console output plus capture. Benchmarks must set a rate counter named
-/// "FLOPS" (finalised to FLOP/s by google-benchmark before reporting).
+/// Console output plus capture. Compute benchmarks must set a rate
+/// counter named "FLOPS" (finalised to FLOP/s by google-benchmark before
+/// reporting); data-movement rows (BenchSpec::elems) need none.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   std::vector<CaptureRow> rows;
@@ -71,7 +75,11 @@ inline bool write_kernel_json(const std::string& path, const std::string& binary
       r.set("m", report::JsonValue::number(spec.m));
       r.set("k", report::JsonValue::number(spec.k));
       r.set("n", report::JsonValue::number(spec.n));
-      r.set("gflops", report::JsonValue::number(row.gflops));
+      if (spec.elems > 0.0) {
+        r.set("ns_per_elem", report::JsonValue::number(row.real_time_s * 1e9 / spec.elems));
+      } else {
+        r.set("gflops", report::JsonValue::number(row.gflops));
+      }
       r.set("real_time_s", report::JsonValue::number(row.real_time_s));
       r.set("iterations", report::JsonValue::number(row.iterations));
       results.push_back(std::move(r));

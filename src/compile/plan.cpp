@@ -63,7 +63,8 @@ void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena
     if (tiled) {
       if (s.prepacked) {
         float* panels = arena.floats(tid, 0, packed_b_floats(krows, cols));
-        if (im2col_packed(in.data() + i * in_stride, g, panels)) {
+        float* padded = g.padding > 0 ? arena.floats(tid, 2, im2col_padded_floats(g)) : nullptr;
+        if (im2col_packed(in.data() + i * in_stride, g, panels, padded)) {
           GemmEpilogue ep;
           ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
           ep.act = static_cast<int>(s.act);
@@ -350,17 +351,21 @@ int64_t ExecutionPlan::prepacked_floats() const {
 
 void ExecutionPlan::recompute_scratch_floats() {
   // Per-worker arena demand: slot 0 holds im2col panel buffers, slot 1
-  // plain column matrices; each is sized to the largest conv that uses
-  // it, matching ScratchArena's grow-only slots.
-  int64_t panels = 0, col = 0;
+  // plain column matrices, slot 2 the zero-bordered image copies of
+  // im2col_packed; each is sized to the largest conv that uses it,
+  // matching ScratchArena's grow-only slots.
+  int64_t panels = 0, col = 0, padded = 0;
   for (const Step& s : steps_) {
     if (s.kind != StepKind::kConv) continue;
     const int64_t krows = s.geom.col_rows();
     const int64_t cols = s.geom.col_cols();
-    if (s.prepacked) panels = std::max(panels, packed_b_floats(krows, cols));
+    if (s.prepacked) {
+      panels = std::max(panels, packed_b_floats(krows, cols));
+      padded = std::max(padded, im2col_padded_floats(s.geom));
+    }
     col = std::max(col, krows * cols);
   }
-  scratch_floats_ = panels + col;
+  scratch_floats_ = panels + col + padded;
 }
 
 }  // namespace capr::compile

@@ -445,22 +445,26 @@ PlanLint lint_plan(const ExecutionPlan& plan, const graph::ModuleGraph& g) {
 
   // ---- Pass 4: scratch pre-size sufficiency ---------------------------
   // Recomputed with the same per-worker demand model the executor uses
-  // (arena slot 0: packed im2col panels, slot 1: plain column matrices),
-  // so a plan whose declared pre-size lies is caught before warm() ever
-  // trusts it.
-  int64_t panels = 0, col = 0;
+  // (arena slot 0: packed im2col panels, slot 1: plain column matrices,
+  // slot 2: im2col_packed's zero-bordered image copies), so a plan whose
+  // declared pre-size lies is caught before warm() ever trusts it.
+  int64_t panels = 0, col = 0, padded = 0;
   for (const Step& s : steps) {
     if (s.kind != StepKind::kConv) continue;
     const int64_t krows = s.geom.col_rows();
     const int64_t cols = s.geom.col_cols();
-    if (s.prepacked) panels = std::max(panels, packed_b_floats(krows, cols));
+    if (s.prepacked) {
+      panels = std::max(panels, packed_b_floats(krows, cols));
+      padded = std::max(padded, im2col_padded_floats(s.geom));
+    }
     col = std::max(col, krows * cols);
   }
-  if (plan.scratch_floats() < panels + col) {
+  const int64_t demand = panels + col + padded;
+  if (plan.scratch_floats() < demand) {
     lint.add(diag(PlanDiagCode::kScratchUndersized, -1, graph::kNoNode,
                   "declared scratch pre-size " + std::to_string(plan.scratch_floats()) +
                       " floats is below the worst-case step demand of " +
-                      std::to_string(panels + col)));
+                      std::to_string(demand)));
   }
 
   return lint;

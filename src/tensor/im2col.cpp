@@ -1,10 +1,7 @@
 #include "tensor/im2col.h"
 
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
-
-#include "tensor/gemm_tiled.h"
 
 namespace capr {
 
@@ -45,47 +42,6 @@ void im2col(const float* im, const ConvGeom& g, float* col) {
       }
     }
   }
-}
-
-bool im2col_packed(const float* im, const ConvGeom& g, float* panels) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t cols = oh * ow;
-  const int64_t K = g.col_rows();
-  const int64_t plane = g.in_h * g.in_w;
-  bool finite = true;
-  // Zero the tail panel's padding columns once; the loops below only
-  // touch real column positions.
-  const int64_t tail = cols % kPanelWidth;
-  if (tail != 0) {
-    float* last = panels + (cols / kPanelWidth) * K * kPanelWidth;
-    for (int64_t k = 0; k < K; ++k) {
-      for (int64_t j = tail; j < kPanelWidth; ++j) last[k * kPanelWidth + j] = 0.0f;
-    }
-  }
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    const float* chan = im + c * plane;
-    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride + kh - g.padding;
-          const float* irow = (iy >= 0 && iy < g.in_h) ? chan + iy * g.in_w : nullptr;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t col = y * ow + x;
-            float v = 0.0f;
-            if (irow != nullptr) {
-              const int64_t ix = x * g.stride + kw - g.padding;
-              if (ix >= 0 && ix < g.in_w) v = irow[ix];
-            }
-            finite = finite && std::isfinite(v);
-            panels[(col / kPanelWidth) * K * kPanelWidth + row * kPanelWidth +
-                   col % kPanelWidth] = v;
-          }
-        }
-      }
-    }
-  }
-  return finite;
 }
 
 void col2im(const float* col, const ConvGeom& g, float* im) {

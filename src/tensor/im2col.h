@@ -40,14 +40,24 @@ struct ConvGeom {
 void im2col(const float* im, const ConvGeom& g, float* col);
 
 /// Lowers one image straight into the tiled GEMM's packed-B panel layout
-/// (kPanelWidth-wide column panels, k-major, tail panel zero-padded):
-/// writing pack_b(im2col(im)) in one pass, skipping the intermediate
-/// column matrix entirely. `panels` must have
-/// packed_b_floats(col_rows(), col_cols()) floats. Returns false if any
-/// column value is non-finite — the exact predicate pack_b evaluates,
-/// so compiled and per-call paths take the strong-zero reference
-/// fallback under identical conditions.
+/// (kPanelWidth-wide column panels, k-major, tail panel zero-padded),
+/// writing pack_b(im2col(im)) bitwise in one pass, skipping the
+/// intermediate column matrix entirely. `panels` must have
+/// packed_b_floats(col_rows(), col_cols()) floats; `padded` must have
+/// im2col_padded_floats(g) floats (unused, and may be null, when
+/// g.padding == 0). Returns false if any column value is non-finite —
+/// the exact predicate pack_b evaluates, so compiled and per-call paths
+/// take the strong-zero reference fallback under identical conditions.
+/// Defined in im2col_packed.cpp.
+bool im2col_packed(const float* im, const ConvGeom& g, float* panels, float* padded);
+
+/// Same, allocating the padded-image buffer per call. For callers
+/// without a ScratchArena (tests, benches); hot paths pass arena scratch.
 bool im2col_packed(const float* im, const ConvGeom& g, float* panels);
+
+/// Floats of the zero-bordered image copy im2col_packed works from:
+/// in_channels * (in_h + 2p) * (in_w + 2p), or 0 without padding.
+int64_t im2col_padded_floats(const ConvGeom& g);
 
 /// Adjoint of im2col: accumulates the column matrix back into [Cin, H, W].
 /// `im` must be zeroed by the caller if fresh accumulation is wanted.

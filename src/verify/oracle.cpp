@@ -1,6 +1,9 @@
 #include "verify/oracle.h"
 
+#include <cmath>
 #include <stdexcept>
+
+#include "tensor/gemm_tiled.h"
 
 namespace capr::verify {
 namespace {
@@ -99,6 +102,26 @@ Tensor ref_im2col(const Tensor& image, const ConvGeom& g) {
     }
   }
   return col;
+}
+
+Tensor ref_pack_panels(const Tensor& mat) {
+  require_rank2(mat, "ref_pack_panels");
+  const int64_t K = mat.dim(0), N = mat.dim(1);
+  Tensor out({packed_b_floats(K, N)});  // zero-initialised: tail columns stay 0
+  for (int64_t k = 0; k < K; ++k) {
+    for (int64_t j = 0; j < N; ++j) {
+      out[(j / kPanelWidth) * K * kPanelWidth + k * kPanelWidth + j % kPanelWidth] =
+          mat[k * N + j];
+    }
+  }
+  return out;
+}
+
+bool ref_all_finite(const Tensor& t) {
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (!std::isfinite(t[i])) return false;
+  }
+  return true;
 }
 
 Tensor ref_col2im(const Tensor& col, const ConvGeom& g) {

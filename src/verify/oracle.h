@@ -37,6 +37,16 @@ Tensor ref_matmul_tn(const Tensor& a, const Tensor& b);
 /// Column matrix [Cin*Kh*Kw, Hout*Wout] of one CHW image.
 Tensor ref_im2col(const Tensor& image, const ConvGeom& g);
 
+/// Packed-B panel layout of a [K, N] matrix, by definition: element
+/// (k, j) at (j / kPanelWidth) * K * kPanelWidth + k * kPanelWidth +
+/// j % kPanelWidth, the tail panel's missing columns zero. Returns the
+/// packed_b_floats(K, N) buffer as a rank-1 tensor. The reference for
+/// im2col_packed is ref_pack_panels(ref_im2col(image, g)).
+Tensor ref_pack_panels(const Tensor& mat);
+
+/// True iff std::isfinite holds for every element (pack_b's predicate).
+bool ref_all_finite(const Tensor& t);
+
 /// Adjoint of ref_im2col: accumulates a column matrix back into CHW.
 Tensor ref_col2im(const Tensor& col, const ConvGeom& g);
 

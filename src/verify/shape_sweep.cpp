@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "nn/conv2d.h"
@@ -81,8 +82,9 @@ ConvGeom random_geom(Rng& rng) {
 
 std::string geom_string(const ConvGeom& g) {
   std::ostringstream os;
-  os << "Cin=" << g.in_channels << " H=" << g.in_h << " W=" << g.in_w << " k=" << g.kernel_h
-     << " stride=" << g.stride << " pad=" << g.padding;
+  os << "Cin=" << g.in_channels << " H=" << g.in_h << " W=" << g.in_w << " k=" << g.kernel_h;
+  if (g.kernel_w != g.kernel_h) os << "x" << g.kernel_w;
+  os << " stride=" << g.stride << " pad=" << g.padding;
   return os.str();
 }
 
@@ -196,44 +198,124 @@ SweepResult sweep_gemm_tiled(const std::vector<GemmShape>& shapes, const SweepOp
   return r;
 }
 
-SweepResult sweep_im2col(const SweepOptions& opts) {
-  Rng rng(opts.seed);
-  SweepResult r;
-  for (int cfg = 0; cfg < opts.configs; ++cfg) {
-    const ConvGeom g = random_geom(rng);
-    const std::string config = geom_string(g);
-
-    const Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
-    const Tensor col_opt = im2col(im, g);
-    const Tensor col_ref = ref_im2col(im, g);
-    // Pure data movement: the optimized path must match exactly.
-    record(r, allclose_report(col_opt, col_ref, 0.0f, 0.0f), "im2col", config);
-
-    const Tensor y = random(rng, {g.col_rows(), g.col_cols()});
-    const Tensor im_opt = col2im(y, g);
-    const Tensor im_ref = ref_col2im(y, g);
-    record(r, allclose_report(im_opt, im_ref, opts.atol, opts.rtol), "col2im", config);
-
-    // Adjoint identity: <im2col(x), y> == <x, col2im(y)>. Catches index
-    // bugs that a direct comparison against a same-shaped-but-wrong
-    // reference could miss.
-    double lhs = 0.0, rhs = 0.0;
-    for (int64_t i = 0; i < col_ref.numel(); ++i) {
-      lhs += static_cast<double>(col_opt[i]) * y[i];
-    }
-    for (int64_t i = 0; i < im.numel(); ++i) {
-      rhs += static_cast<double>(im[i]) * im_opt[i];
-    }
-    const double scale = std::max({std::abs(lhs), std::abs(rhs), 1.0});
-    if (std::abs(lhs - rhs) > 1e-4 * scale) {
-      ++r.failures;
-      if (r.first_failure.empty()) {
-        std::ostringstream os;
-        os << "im2col/col2im adjoint @ " << config << ": <im2col(x),y>=" << lhs
-           << " but <x,col2im(y)>=" << rhs;
-        r.first_failure = os.str();
+std::vector<ConvGeom> im2col_edge_geoms() {
+  struct Kernel {
+    int64_t h, w;
+  };
+  const Kernel kernels[] = {{1, 1}, {3, 3}, {1, 3}, {3, 1}, {2, 5}};
+  const int64_t out_ws[] = {1, 2, 4, 7, 8, 16, 17, 24, 32};
+  const int64_t out_h = 3;
+  std::vector<ConvGeom> geoms;
+  for (const Kernel& k : kernels) {
+    for (int64_t stride = 1; stride <= 3; ++stride) {
+      for (int64_t pad = 0; pad < std::max(k.h, k.w); ++pad) {
+        for (int64_t ow : out_ws) {
+          // Exact fit, then stride - 1 trailing pixels no window reaches
+          // (the output extent rounds down over them).
+          for (int64_t slack = 0; slack < stride; slack += std::max<int64_t>(1, stride - 1)) {
+            ConvGeom g;
+            g.in_channels = 2;
+            g.kernel_h = k.h;
+            g.kernel_w = k.w;
+            g.stride = stride;
+            g.padding = pad;
+            g.in_h = (out_h - 1) * stride + k.h - 2 * pad + slack;
+            g.in_w = (ow - 1) * stride + k.w - 2 * pad + slack;
+            if (g.in_h < 1 || g.in_w < 1) continue;
+            geoms.push_back(g);
+          }
+        }
       }
     }
+  }
+  return geoms;
+}
+
+namespace {
+
+/// im2col, col2im, their adjoint identity, and im2col_packed against the
+/// references on one geometry (random image and cotangent from `rng`).
+/// `poison` draws the non-finite pixel of the predicate check.
+void check_im2col(const ConvGeom& g, Rng& rng, Rng& poison, const SweepOptions& opts,
+                  SweepResult& r) {
+  const std::string config = geom_string(g);
+
+  Tensor im = random(rng, {g.in_channels, g.in_h, g.in_w});
+  const Tensor col_opt = im2col(im, g);
+  const Tensor col_ref = ref_im2col(im, g);
+  // Pure data movement: the optimized path must match exactly.
+  record(r, allclose_report(col_opt, col_ref, 0.0f, 0.0f), "im2col", config);
+
+  const Tensor y = random(rng, {g.col_rows(), g.col_cols()});
+  const Tensor im_opt = col2im(y, g);
+  const Tensor im_ref = ref_col2im(y, g);
+  record(r, allclose_report(im_opt, im_ref, opts.atol, opts.rtol), "col2im", config);
+
+  // Adjoint identity: <im2col(x), y> == <x, col2im(y)>. Catches index
+  // bugs that a direct comparison against a same-shaped-but-wrong
+  // reference could miss.
+  double lhs = 0.0, rhs = 0.0;
+  for (int64_t i = 0; i < col_ref.numel(); ++i) {
+    lhs += static_cast<double>(col_opt[i]) * y[i];
+  }
+  for (int64_t i = 0; i < im.numel(); ++i) {
+    rhs += static_cast<double>(im[i]) * im_opt[i];
+  }
+  const double scale = std::max({std::abs(lhs), std::abs(rhs), 1.0});
+  if (std::abs(lhs - rhs) > 1e-4 * scale) {
+    ++r.failures;
+    if (r.first_failure.empty()) {
+      std::ostringstream os;
+      os << "im2col/col2im adjoint @ " << config << ": <im2col(x),y>=" << lhs
+         << " but <x,col2im(y)>=" << rhs;
+      r.first_failure = os.str();
+    }
+  }
+
+  // Packed lowering, bitwise against panel-packing of the reference
+  // columns. Output and padded scratch start as NaN so an unwritten
+  // panel element or an unzeroed border shows up as a mismatch.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Shape panel_shape{packed_b_floats(g.col_rows(), g.col_cols())};
+  Tensor padded({std::max<int64_t>(1, im2col_padded_floats(g))}, nan);
+  auto check_packed = [&](const Tensor& image, const std::string& what) {
+    Tensor panels(panel_shape, nan);
+    const bool finite = im2col_packed(image.data(), g, panels.data(), padded.data());
+    const Tensor col = ref_im2col(image, g);
+    record(r, bitwise_report(panels, ref_pack_panels(col)), what, config);
+    Tensor alloc_panels(panel_shape, nan);
+    const bool alloc_finite = im2col_packed(image.data(), g, alloc_panels.data());
+    record(r, bitwise_report(alloc_panels, panels), what + "(allocating)", config);
+    const bool want = ref_all_finite(col);
+    if (finite != want || alloc_finite != want) {
+      ++r.failures;
+      if (r.first_failure.empty()) {
+        r.first_failure = what + " @ " + config + ": non-finite predicate returned " +
+                          (finite ? "true" : "false") + ", want " + (want ? "true" : "false");
+      }
+    }
+  };
+  check_packed(im, "im2col_packed");
+  // One pixel poisoned with NaN or +-Inf: the predicate must be false
+  // exactly when some window reads it (strides > 1 may skip it).
+  const float bad[] = {nan, std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  im[poison.uniform_int(im.numel())] = bad[poison.uniform_int(3)];
+  check_packed(im, "im2col_packed(poisoned)");
+}
+
+}  // namespace
+
+SweepResult sweep_im2col(const SweepOptions& opts) {
+  Rng rng(opts.seed);
+  Rng poison(opts.seed ^ 0xBADF00Dull);
+  SweepResult r;
+  for (int cfg = 0; cfg < opts.configs; ++cfg) {
+    check_im2col(random_geom(rng), rng, poison, opts, r);
+    ++r.configs_run;
+  }
+  for (const ConvGeom& g : im2col_edge_geoms()) {
+    check_im2col(g, rng, poison, opts, r);
     ++r.configs_run;
   }
   return r;

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/im2col.h"
+
 namespace capr::verify {
 
 struct SweepOptions {
@@ -57,8 +59,18 @@ std::vector<GemmShape> remainder_gemm_shapes();
 SweepResult sweep_gemm_tiled(const std::vector<GemmShape>& shapes,
                              const SweepOptions& opts = {});
 
-/// im2col and col2im against the references over random geometries, plus
-/// the adjoint identity <im2col(x), y> == <x, col2im(y)>.
+/// Targeted lowering geometries: out_w in {1, 2, 4, 7, 8, 16, 17, 24,
+/// 32} (one panel, panel edges, several rows per panel, rows straddling
+/// panels), strides 1-3 incl. 1x1 stride 2, every padding 0..k-1,
+/// square and non-square kernels, and inputs with trailing pixels no
+/// window reaches.
+std::vector<ConvGeom> im2col_edge_geoms();
+
+/// im2col and col2im against the references, the adjoint identity
+/// <im2col(x), y> == <x, col2im(y)>, and im2col_packed bitwise against
+/// ref_pack_panels(ref_im2col(x)) with its non-finite predicate checked
+/// on a clean and a one-pixel-poisoned image. Runs `configs` random
+/// geometries, then every im2col_edge_geoms() entry.
 SweepResult sweep_im2col(const SweepOptions& opts = {});
 
 /// Conv2d forward AND backward (input/weight/bias grads) against the

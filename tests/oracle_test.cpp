@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "tensor/gemm.h"
+#include "tensor/gemm_tiled.h"
 #include "tensor/im2col.h"
 #include "test_util.h"
 #include "verify/shape_sweep.h"
@@ -44,6 +49,72 @@ TEST(OracleSelfTest, RefIm2colIdentityKernel) {
   const Tensor im = testing::random_tensor({2, 3, 3}, 5);
   const Tensor col = ref_im2col(im, g);
   EXPECT_TRUE(expect_allclose(col, im.reshape({2, 9})));
+}
+
+// ---- im2col_packed's non-finite predicate ----------------------------------
+
+ConvGeom geom(int64_t cin, int64_t hw, int64_t k, int64_t stride, int64_t pad) {
+  ConvGeom g;
+  g.in_channels = cin;
+  g.in_h = g.in_w = hw;
+  g.kernel_h = g.kernel_w = k;
+  g.stride = stride;
+  g.padding = pad;
+  return g;
+}
+
+/// im2col_packed on `im`: returns the predicate and checks the panels
+/// bitwise against ref_pack_panels(ref_im2col(im)).
+bool packed_finite(const Tensor& im, const ConvGeom& g) {
+  Tensor panels({packed_b_floats(g.col_rows(), g.col_cols())});
+  const bool finite = im2col_packed(im.data(), g, panels.data());
+  const Tensor want = ref_pack_panels(ref_im2col(im, g));
+  EXPECT_EQ(std::memcmp(panels.data(), want.data(), sizeof(float) * want.numel()), 0);
+  return finite;
+}
+
+TEST(Im2colPackedPredicateTest, NonFiniteAtSampledPixelIsReported) {
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  // Unit stride (input scan), stride 2 with a 3x3 window (panel scan),
+  // and 1x1 stride 2 at an even pixel, which the window samples.
+  for (const ConvGeom& g : {geom(2, 8, 3, 1, 1), geom(2, 8, 3, 2, 1), geom(2, 8, 1, 2, 0)}) {
+    for (float v : bad) {
+      Tensor im = testing::random_tensor({2, 8, 8}, 11);
+      EXPECT_TRUE(packed_finite(im, g));
+      im[64 + 2 * 8 + 4] = v;  // channel 1, pixel (2, 4)
+      EXPECT_FALSE(packed_finite(im, g)) << "value " << v << " stride " << g.stride;
+    }
+  }
+}
+
+TEST(Im2colPackedPredicateTest, NonFiniteAtUnreadPixelIsIgnored) {
+  // 1x1 stride 2 reads only even (y, x): an odd pixel never reaches a
+  // column, so pack_b(im2col(x)) is finite and so must the lowering be.
+  const ConvGeom g = geom(2, 8, 1, 2, 0);
+  for (float v : {std::numeric_limits<float>::quiet_NaN(),
+                  std::numeric_limits<float>::infinity()}) {
+    Tensor im = testing::random_tensor({2, 8, 8}, 12);
+    im[64 + 3 * 8 + 5] = v;  // channel 1, pixel (3, 5)
+    EXPECT_TRUE(ref_all_finite(ref_im2col(im, g)));
+    EXPECT_TRUE(packed_finite(im, g));
+  }
+}
+
+TEST(Im2colPackedPredicateTest, NegativeZeroSurvivesBitwise) {
+  for (const ConvGeom& g : {geom(3, 5, 3, 1, 1), geom(3, 5, 3, 2, 2)}) {
+    const Tensor im({3, 5, 5}, -0.0f);
+    Tensor panels({packed_b_floats(g.col_rows(), g.col_cols())});
+    ASSERT_TRUE(im2col_packed(im.data(), g, panels.data()));
+    // Window samples keep the sign bit; padding and tail columns are +0.
+    const Tensor want = ref_pack_panels(ref_im2col(im, g));
+    EXPECT_EQ(std::memcmp(panels.data(), want.data(), sizeof(float) * want.numel()), 0);
+    // Column 0 (output (0, 0)): tap (c 0, kh 2, kw 2), row 8, reads
+    // pixel (1, 1) or (0, 0); tap (0, 0, 0), row 0, reads padding.
+    EXPECT_TRUE(std::signbit(panels[8 * kPanelWidth]));
+    EXPECT_FALSE(std::signbit(panels[0]));
+  }
 }
 
 // ---- randomized differential sweeps ----------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +144,28 @@ TEST(PlanVerifierTest, UndersizedScratchIsRejected) {
   Compiled c = compiled("tiny", CompileOptions{});  // prepacked convs
   ASSERT_GT(c.plan.scratch_floats(), 0);
   PlanTestAccess::scratch_floats(c.plan) = c.plan.scratch_floats() - 1;
+  const PlanLint lint = lint_plan(c.plan, c.graph);
+  ASSERT_FALSE(lint.ok());
+  EXPECT_TRUE(lint.has(PlanDiagCode::kScratchUndersized)) << lint.to_string();
+}
+
+TEST(PlanVerifierTest, ScratchMissingPaddedImagesIsRejected) {
+  // The pre-size must also cover im2col_packed's zero-bordered image
+  // copy (arena slot 2). Declaring only panels + column matrices, the
+  // two other per-worker buffers, must fail pass 4.
+  Compiled c = compiled("tiny", CompileOptions{});
+  int64_t panels = 0, col = 0, padded = 0;
+  for (const Step& s : c.plan.steps()) {
+    if (s.kind != StepKind::kConv) continue;
+    if (s.prepacked) {
+      panels = std::max(panels, packed_b_floats(s.geom.col_rows(), s.geom.col_cols()));
+      padded = std::max(padded, im2col_padded_floats(s.geom));
+    }
+    col = std::max(col, s.geom.col_rows() * s.geom.col_cols());
+  }
+  ASSERT_GT(padded, 0);  // tiny's 3x3 convs are padded
+  ASSERT_EQ(c.plan.scratch_floats(), panels + col + padded);
+  PlanTestAccess::scratch_floats(c.plan) = panels + col;
   const PlanLint lint = lint_plan(c.plan, c.graph);
   ASSERT_FALSE(lint.ok());
   EXPECT_TRUE(lint.has(PlanDiagCode::kScratchUndersized)) << lint.to_string();
