@@ -1,9 +1,9 @@
-// Conv2d forward/backward throughput under both GEMM kernels: the
-// end-to-end effect of the tiled path plus the per-layer scratch arena
-// (im2col buffers reused across calls). Also times im2col_packed, the
-// per-image lowering of every compiled conv step, on the conv
-// geometries of the two served plans (rows "im2col_packed/<plan>/...",
-// reported as ns per column element). Emits BENCH_conv.json.
+// Conv2d forward/backward throughput on the tiled GEMM path with the
+// per-layer scratch arena (im2col buffers reused across calls). Also
+// times im2col_packed, the per-image lowering of every compiled conv
+// step, on the conv geometries of the two served plans (rows
+// "im2col_packed/<plan>/...", reported as ns per column element). Emits
+// BENCH_conv.json.
 //
 //   bench_conv                 full sweep, writes BENCH_conv.json
 //   bench_conv --smoke         smallest layer only, tiny min-time (CI)
@@ -46,8 +46,6 @@ const ConvCase kCases[] = {
 void run_conv(benchmark::State& state, const BenchSpec spec, const ConvCase cs,
               const bool backward) {
   set_num_threads(spec.threads);
-  const GemmKernelScope scope(spec.kernel == "tiled" ? GemmKernel::kTiled
-                                                     : GemmKernel::kReference);
   nn::Conv2d conv(cs.channels, cs.channels, 3, 1, 1, /*bias=*/false);
   Rng rng(99);
   rng.fill_normal(conv.weight().value, 0.0f, 0.1f);
@@ -153,29 +151,25 @@ std::vector<BenchSpec> register_all() {
     const int64_t krows = cs.channels * 9;
     const int64_t cols = cs.size * cs.size;  // stride 1, pad 1: same spatial size
     for (const bool backward : {false, true}) {
-      for (const char* kernel : {"reference", "tiled"}) {
-        const std::vector<int> thread_counts =
-            std::string(kernel) == "tiled" ? std::vector<int>{1, 4} : std::vector<int>{1};
-        for (int threads : thread_counts) {
-          BenchSpec spec;
-          spec.kernel = kernel;
-          spec.threads = threads;
-          spec.m = cs.channels;
-          spec.k = krows;
-          spec.n = cols;
-          // Forward: one [Cout, krows] x [krows, cols] GEMM per image.
-          // Backward: dW (NT) + dcol (NN), 2x the forward GEMM work.
-          const double gemm_flops = 2.0 * static_cast<double>(cs.channels) *
-                                    static_cast<double>(krows) * static_cast<double>(cols) *
-                                    static_cast<double>(cs.batch);
-          spec.flops = backward ? 2.0 * gemm_flops : gemm_flops;
-          spec.name = std::string("conv/") + (backward ? "backward" : "forward") + "/" +
-                      spec.kernel + "/t" + std::to_string(threads) + "/b" +
-                      std::to_string(cs.batch) + "c" + std::to_string(cs.channels) + "s" +
-                      std::to_string(cs.size);
-          benchmark::RegisterBenchmark(spec.name.c_str(), run_conv, spec, cs, backward);
-          specs.push_back(std::move(spec));
-        }
+      for (int threads : {1, 4}) {
+        BenchSpec spec;
+        spec.kernel = "tiled";
+        spec.threads = threads;
+        spec.m = cs.channels;
+        spec.k = krows;
+        spec.n = cols;
+        // Forward: one [Cout, krows] x [krows, cols] GEMM per image.
+        // Backward: dW (NT) + dcol (NN), 2x the forward GEMM work.
+        const double gemm_flops = 2.0 * static_cast<double>(cs.channels) *
+                                  static_cast<double>(krows) * static_cast<double>(cols) *
+                                  static_cast<double>(cs.batch);
+        spec.flops = backward ? 2.0 * gemm_flops : gemm_flops;
+        spec.name = std::string("conv/") + (backward ? "backward" : "forward") + "/" +
+                    spec.kernel + "/t" + std::to_string(threads) + "/b" +
+                    std::to_string(cs.batch) + "c" + std::to_string(cs.channels) + "s" +
+                    std::to_string(cs.size);
+        benchmark::RegisterBenchmark(spec.name.c_str(), run_conv, spec, cs, backward);
+        specs.push_back(std::move(spec));
       }
     }
   }
@@ -199,7 +193,7 @@ int main(int argc, char** argv) {
   benchx::KernelBenchArgs args;
   const std::vector<BenchSpec> specs = register_all();
   if (!benchx::init_benchmark(argc, argv,
-                              "conv/(forward|backward)/(reference|tiled)/t1/b4c16s16|"
+                              "conv/(forward|backward)/tiled/t1/b4c16s16|"
                               "im2col_packed/resnet20-w0.25-16px-pruned/",
                               args)) {
     return 1;

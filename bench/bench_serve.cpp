@@ -1,6 +1,6 @@
 // Serving-runtime load benchmark: queries/sec and tail latency of the
-// InferenceServer across architecture x kernel x worker-count x
-// micro-batch size, for dense and pruned models. Emits BENCH_serve.json
+// InferenceServer across architecture x worker-count x micro-batch
+// size, for dense and pruned models. Emits BENCH_serve.json
 // (schema capr-serve-bench-v2).
 //
 // Two measurement modes per variant:
@@ -46,7 +46,6 @@
 #include "report/json.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -58,7 +57,7 @@ struct ServeSpec {
   std::string name;     // e.g. "serve/resnet20/pruned+compiled/tiled/w1/b8"
   std::string arch;     // builder name
   std::string variant;  // "dense" | "pruned" | "dense+compiled" | "pruned+compiled"
-  std::string kernel;   // "reference" | "tiled"
+  std::string kernel = "tiled";  // GEMM path, recorded in names and JSON
   int workers = 1;
   size_t max_batch = 1;
 };
@@ -105,8 +104,6 @@ std::shared_ptr<const serve::InferenceSession> make_session(const ServeSpec& spe
 }
 
 void run_serve(benchmark::State& state, const ServeSpec spec) {
-  const GemmKernelScope scope(spec.kernel == "tiled" ? GemmKernel::kTiled
-                                                     : GemmKernel::kReference);
   std::shared_ptr<const serve::InferenceSession> session = make_session(spec);
   serve::ServerConfig cfg;
   cfg.workers = spec.workers;
@@ -250,7 +247,6 @@ void run_open_loop_sweep(bool smoke, std::vector<OpenSpec>& specs, std::vector<O
     OpenSpec base;
     base.arch = "resnet20";
     base.variant = variant;
-    const GemmKernelScope scope(GemmKernel::kTiled);
     std::shared_ptr<const serve::InferenceSession> session = make_session(
         [&] {
           ServeSpec s;
@@ -303,15 +299,13 @@ void run_open_loop_sweep(bool smoke, std::vector<OpenSpec>& specs, std::vector<O
 
 std::vector<ServeSpec> register_all() {
   std::vector<ServeSpec> specs;
-  const auto add = [&](const char* arch, const char* variant, const char* kernel, int workers,
-                       size_t max_batch) {
+  const auto add = [&](const char* arch, const char* variant, int workers, size_t max_batch) {
     ServeSpec spec;
     spec.arch = arch;
     spec.variant = variant;
-    spec.kernel = kernel;
     spec.workers = workers;
     spec.max_batch = max_batch;
-    spec.name = std::string("serve/") + arch + "/" + variant + "/" + kernel + "/w" +
+    spec.name = "serve/" + spec.arch + "/" + spec.variant + "/" + spec.kernel + "/w" +
                 std::to_string(workers) + "/b" + std::to_string(max_batch);
     // Workers do the actual inference on their own threads, so wall
     // clock (not the submitting thread's CPU time) is the meaningful
@@ -323,17 +317,15 @@ std::vector<ServeSpec> register_all() {
   // compiled-vs-interpreted QPS comparisons the acceptance gates read),
   // plus a vgg11 column.
   for (const char* variant : {"dense", "pruned", "dense+compiled", "pruned+compiled"}) {
-    for (const char* kernel : {"reference", "tiled"}) {
-      for (int workers : {1, 4}) {
-        for (size_t max_batch : {size_t{1}, size_t{8}}) {
-          add("resnet20", variant, kernel, workers, max_batch);
-        }
+    for (int workers : {1, 4}) {
+      for (size_t max_batch : {size_t{1}, size_t{8}}) {
+        add("resnet20", variant, workers, max_batch);
       }
     }
   }
   for (const char* variant : {"dense", "pruned", "dense+compiled", "pruned+compiled"}) {
     for (size_t max_batch : {size_t{1}, size_t{8}}) {
-      add("vgg11", variant, "tiled", 1, max_batch);
+      add("vgg11", variant, 1, max_batch);
     }
   }
   return specs;

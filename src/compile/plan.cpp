@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "nn/eval_kernels.h"
-#include "tensor/gemm.h"
 #include "tensor/parallel.h"
 
 namespace capr::compile {
@@ -57,36 +56,27 @@ void exec_conv(const Step& s, const Tensor& in, Tensor& out, ScratchArena& arena
   // decisions (and therefore every nested-GEMM dispatch) are identical.
   const int workers = std::max(1, std::min<int>(num_threads(), static_cast<int>(n)));
   arena.prepare(workers);
-  const bool tiled = gemm_kernel() == GemmKernel::kTiled;
   parallel_for(0, n, [&](int tid, int64_t i) {
     float* obase = out.data() + i * cout * cols;
-    if (tiled) {
-      if (s.prepacked) {
-        float* panels = arena.floats(tid, 0, packed_b_floats(krows, cols));
-        float* padded = g.padding > 0 ? arena.floats(tid, 2, im2col_padded_floats(g)) : nullptr;
-        if (im2col_packed(in.data() + i * in_stride, g, panels, padded)) {
-          GemmEpilogue ep;
-          ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
-          ep.act = static_cast<int>(s.act);
-          ep.alpha = s.alpha;
-          gemm_tiled_packed(s.packed_w, panels, obase, cols, ep);
-          return;
-        }
-        // Non-finite activations: fall through to the strong-zero
-        // reference product, the same condition and fallback pack_b
-        // triggers on the per-call tiled path.
-      } else {
-        float* col = arena.floats(tid, 1, krows * cols);
-        im2col(in.data() + i * in_stride, g, col);
-        gemm_tiled(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false,
-                   &arena.gemm(tid));
-        apply_bias_act(s, obase, cout, cols);
+    if (s.prepacked) {
+      float* panels = arena.floats(tid, 0, packed_b_floats(krows, cols));
+      float* padded = g.padding > 0 ? arena.floats(tid, 2, im2col_padded_floats(g)) : nullptr;
+      if (im2col_packed(in.data() + i * in_stride, g, panels, padded)) {
+        GemmEpilogue ep;
+        ep.bias_row = s.bias.empty() ? nullptr : s.bias.data();
+        ep.act = static_cast<int>(s.act);
+        ep.alpha = s.alpha;
+        gemm_tiled_packed(s.packed_w, panels, obase, cols, ep);
         return;
       }
     }
+    // Not pre-packed, or non-finite activations: the per-call tiled
+    // kernel, whose pack_b scan applies the same predicate as
+    // im2col_packed and falls back to the strong-zero reference product.
     float* col = arena.floats(tid, 1, krows * cols);
     im2col(in.data() + i * in_stride, g, col);
-    gemm(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false);
+    gemm_tiled(s.weight.data(), col, obase, cout, krows, cols, /*accumulate=*/false,
+               &arena.gemm(tid));
     apply_bias_act(s, obase, cout, cols);
   });
 }
@@ -221,8 +211,7 @@ void exec_linear(const Step& s, const Tensor& in, Tensor& out, ScratchArena& are
   const int64_t outfeat = s.out_channels;
   out.reset({n, outfeat});
   arena.prepare(1);
-  const bool tiled = gemm_kernel() == GemmKernel::kTiled;
-  if (tiled && s.prepacked && s.packed_in.finite) {
+  if (s.prepacked && s.packed_in.finite) {
     GemmEpilogue ep;
     ep.bias_col = s.bias.empty() ? nullptr : s.bias.data();
     ep.act = static_cast<int>(s.act);
@@ -230,15 +219,11 @@ void exec_linear(const Step& s, const Tensor& in, Tensor& out, ScratchArena& are
     gemm_tiled_packed_nt(in.data(), s.packed_in, out.data(), n, ep, &arena.gemm(0));
     return;
   }
-  if (tiled) {
-    // Not pre-packed, or the weight scan found non-finite values: the
-    // per-call tiled NT kernel, which itself takes the transpose +
-    // strong-zero reference fallback exactly as matmul_nt would.
-    gemm_tiled_nt(in.data(), s.weight.data(), out.data(), n, infeat, outfeat,
-                  /*accumulate=*/false, &arena.gemm(0));
-  } else {
-    gemm_nt_ref_rows(in.data(), s.weight.data(), out.data(), n, infeat, outfeat);
-  }
+  // Not pre-packed, or the weight scan found non-finite values: the
+  // per-call tiled NT kernel, which itself takes the transpose +
+  // strong-zero reference fallback exactly as matmul_nt would.
+  gemm_tiled_nt(in.data(), s.weight.data(), out.data(), n, infeat, outfeat,
+                /*accumulate=*/false, &arena.gemm(0));
   if (!s.bias.empty()) {
     for (int64_t i = 0; i < n; ++i) {
       float* row = out.data() + i * outfeat;

@@ -13,10 +13,10 @@
 //
 // Numerics contract (pinned by tests/compile_test.cpp):
 //   - With BN folding OFF, a plan's output is BITWISE identical to the
-//     interpreted forward under either GEMM kernel: every step either
-//     re-runs the interpreted arithmetic through the same shared
-//     out-of-line kernels (bn_eval, gemm_nt_ref_rows, the tiled
-//     micro-kernel) or replicates its exact element-order float ops.
+//     interpreted forward: every step either re-runs the interpreted
+//     arithmetic through the same shared out-of-line kernels (bn_eval,
+//     the tiled micro-kernel and its strong-zero reference fallback)
+//     or replicates its exact element-order float ops.
 //     Epilogue fusion and weight pre-packing are exact transformations.
 //   - BN folding is the one value-changing pass: it rewrites weights as
 //     w' = w * gamma/sqrt(var+eps) in double precision, so folded plans

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
@@ -95,8 +94,8 @@ Tensor Conv2d::compute_forward(const Tensor& input, ScratchArena& arena) const {
   parallel_for(0, n, [&](int tid, int64_t i) {
     float* col = arena.floats(tid, 0, krows * cols);
     im2col(input.data() + i * in_channels_ * h * w, g, col);
-    gemm_auto(wmat.data(), col, out.data() + i * out_channels_ * cols, out_channels_, krows,
-              cols, /*accumulate=*/false, &arena.gemm(tid));
+    gemm_tiled(wmat.data(), col, out.data() + i * out_channels_ * cols, out_channels_, krows,
+               cols, /*accumulate=*/false, &arena.gemm(tid));
     if (has_bias_) {
       float* obase = out.data() + i * out_channels_ * cols;
       for (int64_t c = 0; c < out_channels_; ++c) {
@@ -171,10 +170,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const float* go = grad_output.data() + i * out_channels_ * cols;
 
     // dW += go[Cout, cols] * col[krows, cols]^T.
-    gemm_nt_auto(go, col, gw, out_channels_, cols, krows, /*accumulate=*/true, &gs);
+    gemm_tiled_nt(go, col, gw, out_channels_, cols, krows, /*accumulate=*/true, &gs);
 
     // dcol = W^T[krows, Cout] * go[Cout, cols]; then col2im into grad_in.
-    gemm_auto(wmatT.data(), go, gcol, krows, out_channels_, cols, /*accumulate=*/false, &gs);
+    gemm_tiled(wmatT.data(), go, gcol, krows, out_channels_, cols, /*accumulate=*/false, &gs);
     col2im(gcol, g, grad_in.data() + i * in_channels_ * h * w);
 
     if (has_bias_) {

@@ -66,7 +66,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   }
   const int64_t N = b.dim(1);
   Tensor c({M, N});
-  gemm_auto(a.data(), b.data(), c.data(), M, K, N);
+  gemm_tiled(a.data(), b.data(), c.data(), M, K, N);
   return c;
 }
 
@@ -80,27 +80,8 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   }
   const int64_t N = b.dim(0);
   Tensor c({M, N});
-  if (gemm_kernel() == GemmKernel::kTiled) {
-    gemm_tiled_nt(a.data(), b.data(), c.data(), M, K, N);
-    return c;
-  }
-  gemm_nt_ref_rows(a.data(), b.data(), c.data(), M, K, N);
+  gemm_tiled_nt(a.data(), b.data(), c.data(), M, K, N);
   return c;
-}
-
-void gemm_nt_ref_rows(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N) {
-  // Reference form: C[i,j] = sum_k A[i,k] * B[j,k], a dot of two rows;
-  // contiguous on both, accumulated in double (plain IEEE propagation).
-  for (int64_t i = 0; i < M; ++i) {
-    const float* arow = a + i * K;
-    float* crow = c + i * N;
-    for (int64_t j = 0; j < N; ++j) {
-      const float* brow = b + j * K;
-      double acc = 0.0;
-      for (int64_t k = 0; k < K; ++k) acc += static_cast<double>(arow[k]) * brow[k];
-      crow[j] = static_cast<float>(acc);
-    }
-  }
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -113,7 +94,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   }
   const int64_t N = b.dim(1);
   Tensor c({M, N});
-  gemm_tn_auto(a.data(), b.data(), c.data(), M, K, N);
+  gemm_tiled_tn(a.data(), b.data(), c.data(), M, K, N);
   return c;
 }
 

@@ -1,15 +1,14 @@
 // Single-precision matrix multiplication: reference kernels and the
-// dispatching matmul wrappers.
+// matmul wrappers.
 //
 // These are the hot loops of the whole library (conv layers lower to GEMM
 // via im2col). Two kernels exist:
-//  - the REFERENCE kernel here: a cache-blocked triple loop in ikj order
-//    with the strong-zero semantics below. It is the semantic authority
-//    and the masked-model path.
+//  - the REFERENCE kernels here: cache-blocked loops with the strong-zero
+//    semantics below. They are the semantic authority, the tiled
+//    kernel's non-finite fallback and a test oracle.
 //  - the TILED kernel (gemm_tiled.h): packed panels, register tiling and
-//    parallel_for threading; the default fast path.
-// matmul / matmul_nt / matmul_tn route through the active kernel
-// (set_gemm_kernel / $CAPR_GEMM_KERNEL, default tiled).
+//    parallel_for threading. matmul / matmul_nt / matmul_tn, Conv2d and
+//    compiled plans all call it.
 //
 // Semantics of zeros (intentional, pinned by tests/gemm_test.cpp):
 // `gemm` and `gemm_tn_ref` skip rank-1 updates whose left-operand element
@@ -20,9 +19,7 @@
 // what flows through it. Nonzero entries propagate NaN/Inf normally.
 // The tiled kernel preserves this observable contract by falling back to
 // the reference path whenever its B operand contains non-finite values,
-// so the wrappers keep strong-zero behaviour under either kernel.
-// Exception: `matmul_nt` under the REFERENCE kernel keeps its historical
-// dot-product form (double accumulators, plain IEEE propagation).
+// so the matmul wrappers keep strong-zero behaviour.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -47,12 +44,5 @@ void gemm(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_
 /// strong zeros on A^T). `accumulate=false` zeroes c first.
 void gemm_tn_ref(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
                  bool accumulate = false);
-
-/// Raw reference NT kernel: c[M,N] = a[M,K] * b[N,K]^T, every element a
-/// double-accumulated row dot (plain IEEE propagation, no strong zeros
-/// — matmul_nt's historical semantics). One shared out-of-line body so
-/// matmul_nt and the compiled linear step produce bitwise-identical
-/// results regardless of per-TU optimisation (FP contraction).
-void gemm_nt_ref_rows(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N);
 
 }  // namespace capr

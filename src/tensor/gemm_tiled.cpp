@@ -1,11 +1,8 @@
 #include "tensor/gemm_tiled.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -23,17 +20,6 @@ namespace {
 constexpr int64_t NR = 16;
 
 static_assert(NR == kPanelWidth, "packed-B layout width must match the micro-kernel NR");
-
-std::atomic<GemmKernel> g_kernel_override{GemmKernel::kReference};
-std::atomic<bool> g_kernel_overridden{false};
-
-GemmKernel kernel_from_env() {
-  const char* v = std::getenv("CAPR_GEMM_KERNEL");
-  if (v == nullptr || *v == '\0') return GemmKernel::kTiled;
-  const std::string s(v);
-  if (s == "reference" || s == "ref") return GemmKernel::kReference;
-  return GemmKernel::kTiled;
-}
 
 /// Packs b into NR-wide column panels: panel p holds columns
 /// [p*NR, p*NR+NR) for every k, k-major, short panels zero-padded.
@@ -598,23 +584,6 @@ void gemm_tiled_packed_nt(const float* a, const PackedB& b, float* c, int64_t M,
   }
 }
 
-GemmKernel gemm_kernel() {
-  if (g_kernel_overridden.load(std::memory_order_acquire)) {
-    return g_kernel_override.load(std::memory_order_relaxed);
-  }
-  static const GemmKernel from_env = kernel_from_env();
-  return from_env;
-}
-
-void set_gemm_kernel(GemmKernel k) {
-  g_kernel_override.store(k, std::memory_order_relaxed);
-  g_kernel_overridden.store(true, std::memory_order_release);
-}
-
-const char* to_string(GemmKernel k) {
-  return k == GemmKernel::kTiled ? "tiled" : "reference";
-}
-
 void gemm_tiled(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
                 bool accumulate, GemmScratch* scratch) {
   tiled_driver(GemmVariant::kNN, a, b, c, M, K, N, accumulate, scratch, Operands{K, 1, N, 1},
@@ -641,42 +610,6 @@ void gemm_tiled_tn(const float* a, const float* b, float* c, int64_t M, int64_t 
   // Logical A = aT where a is [K, M]: element (i, k) sits at a[k*M + i].
   tiled_driver(GemmVariant::kTN, a, b, c, M, K, N, accumulate, scratch, Operands{1, M, N, 1},
                [&] { gemm_tn_ref(a, b, c, M, K, N, accumulate); });
-}
-
-void gemm_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-               bool accumulate, GemmScratch* scratch) {
-  if (gemm_kernel() == GemmKernel::kTiled) {
-    gemm_tiled(a, b, c, M, K, N, accumulate, scratch);
-  } else {
-    gemm(a, b, c, M, K, N, accumulate);
-  }
-}
-
-void gemm_nt_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-                  bool accumulate, GemmScratch* scratch) {
-  if (gemm_kernel() == GemmKernel::kTiled) {
-    gemm_tiled_nt(a, b, c, M, K, N, accumulate, scratch);
-    return;
-  }
-  // Reference lowering: explicit transpose + strong-zero gemm (the
-  // historical conv2d backward dW path).
-  GemmScratch local;
-  GemmScratch& s = scratch != nullptr ? *scratch : local;
-  s.tpose.resize(static_cast<size_t>(K * N));
-  for (int64_t j = 0; j < N; ++j) {
-    const float* brow = b + j * K;
-    for (int64_t k = 0; k < K; ++k) s.tpose[static_cast<size_t>(k * N + j)] = brow[k];
-  }
-  gemm(a, s.tpose.data(), c, M, K, N, accumulate);
-}
-
-void gemm_tn_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-                  bool accumulate, GemmScratch* scratch) {
-  if (gemm_kernel() == GemmKernel::kTiled) {
-    gemm_tiled_tn(a, b, c, M, K, N, accumulate, scratch);
-  } else {
-    gemm_tn_ref(a, b, c, M, K, N, accumulate);
-  }
 }
 
 }  // namespace capr

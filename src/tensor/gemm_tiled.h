@@ -1,8 +1,9 @@
-// High-performance tiled GEMM path and the runtime kernel switch.
+// High-performance tiled GEMM path.
 //
 // The reference kernel in gemm.h is a cache-blocked triple loop; it is
 // the semantic authority (strong zeros, see gemm.h) but leaves most of
-// the machine idle. This file adds the fast path used by default:
+// the machine idle. This file adds the fast path every production GEMM
+// call takes:
 //
 //   * B is packed into NR-wide column panels (contiguous, unit-stride
 //     streams for the micro-kernel) and A into MR-tall row strips;
@@ -33,27 +34,6 @@
 
 namespace capr {
 
-/// Which kernel matmul/matmul_nt/matmul_tn/conv2d route through.
-enum class GemmKernel {
-  kReference,  // gemm.cpp triple loop: strong zeros, always available
-  kTiled,      // packed + register-tiled + multithreaded (this file)
-};
-
-/// Active kernel. Initialised once from $CAPR_GEMM_KERNEL
-/// ("tiled" | "reference"/"ref"; default tiled), then overridable.
-GemmKernel gemm_kernel();
-void set_gemm_kernel(GemmKernel k);
-const char* to_string(GemmKernel k);
-
-/// Pins the kernel for one scope; restores the previous one. Test helper.
-struct GemmKernelScope {
-  GemmKernel saved;
-  explicit GemmKernelScope(GemmKernel k) : saved(gemm_kernel()) { set_gemm_kernel(k); }
-  ~GemmKernelScope() { set_gemm_kernel(saved); }
-  GemmKernelScope(const GemmKernelScope&) = delete;
-  GemmKernelScope& operator=(const GemmKernelScope&) = delete;
-};
-
 /// Tiled kernels over contiguous row-major buffers. `scratch` (optional)
 /// makes the packing buffers reusable across calls; pass one per thread.
 /// All three preserve the strong-zero contract by routing calls whose B
@@ -68,16 +48,6 @@ void gemm_tiled_nt(const float* a, const float* b, float* c, int64_t M, int64_t 
 /// c[M,N] (+)= a[K,M]^T * b[K,N]
 void gemm_tiled_tn(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
                    bool accumulate = false, GemmScratch* scratch = nullptr);
-
-/// Dispatchers honouring gemm_kernel(). The reference paths keep the
-/// historical semantics: gemm for NN, transpose-then-gemm for NT (the
-/// pre-tiling conv2d backward lowering), gemm_tn_ref for TN.
-void gemm_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-               bool accumulate = false, GemmScratch* scratch = nullptr);
-void gemm_nt_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-                  bool accumulate = false, GemmScratch* scratch = nullptr);
-void gemm_tn_auto(const float* a, const float* b, float* c, int64_t M, int64_t K, int64_t N,
-                  bool accumulate = false, GemmScratch* scratch = nullptr);
 
 // ---------------------------------------------------------------------------
 // Ahead-of-time packed operands for compiled execution plans (src/compile).

@@ -16,7 +16,6 @@
 #include "baselines/regularized.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 
 namespace capr::tournament {
 namespace {
@@ -128,7 +127,6 @@ std::unique_ptr<strategy::PruneStrategy> make_strategy(const std::string& name,
 }
 
 TournamentResult run_tournament(const TournamentConfig& cfg, std::ostream* log) {
-  const GemmKernelScope scope(GemmKernel::kTiled);
   const std::vector<std::string> roster =
       cfg.strategies.empty() ? default_roster() : cfg.strategies;
   for (const std::string& name : roster) (void)make_strategy(name, cfg);  // validate upfront

@@ -149,7 +149,6 @@ TuneResult run_autotune(const std::vector<CorpusShape>& corpus, const TuneOption
   const int repeats = std::max(1, opts.smoke ? std::min(opts.repeats, 2) : opts.repeats);
   const double min_seconds = opts.smoke ? std::min(opts.min_seconds, 0.002)
                                         : opts.min_seconds;
-  GemmKernelScope kernel(GemmKernel::kTiled);
   GemmScratch scratch;
 
   // Group by class; the representative is the median-FLOPs member so one
@@ -297,7 +296,6 @@ std::vector<VerifyRow> verify_table(const GemmTuningTable& table, const TuneOpti
   const int repeats = std::max(1, opts.smoke ? std::min(opts.repeats, 2) : opts.repeats);
   const double min_seconds = opts.smoke ? std::min(opts.min_seconds, 0.002)
                                         : opts.min_seconds;
-  GemmKernelScope kernel(GemmKernel::kTiled);
   GemmScratch scratch;
   std::vector<VerifyRow> rows;
   for (int idx = 0; idx < kGemmShapeClassCount; ++idx) {

@@ -6,7 +6,7 @@
 // run both paths on the same batch and report exactly how far apart
 // they are, naming the first divergent element so a broken pass fails
 // with a pointed message (tests/compile_test.cpp drives them across all
-// archs x {dense, pruned} x {reference, tiled}).
+// archs x {dense, pruned}).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,7 @@ struct PlanDiff {
 };
 
 /// Runs `batch` through Model::forward_inference and through `plan`,
-/// then compares element-wise under the CURRENT GEMM kernel (callers
-/// scope the kernel they want to pin).
+/// then compares element-wise.
 PlanDiff diff_against_interpreted(const nn::Model& model, const compile::ExecutionPlan& plan,
                                   const Tensor& batch);
 

@@ -2,18 +2,22 @@
 //
 // The load-bearing contract (compile/plan.h): with BN folding OFF, a
 // compiled ExecutionPlan produces BITWISE-identical logits to the
-// interpreted Model::forward_inference under either GEMM kernel, for
-// every architecture, dense or pruned — epilogue fusion and weight
-// pre-packing are exact transformations. BN folding is the single
-// eps-bounded pass. Per-node fallback: layers with active interventions
-// run interpreted inside the plan, never the whole model. compile_test
-// runs under the release, ASan, UBSan and TSan CI lanes.
+// interpreted Model::forward_inference, for every architecture, dense
+// or pruned, and with non-finite values on the strong-zero fallback —
+// epilogue fusion and weight pre-packing are exact transformations. BN
+// folding is the single eps-bounded pass. Per-node fallback: layers
+// with active interventions run interpreted inside the plan, never the
+// whole model. compile_test runs under the release, ASan, UBSan and
+// TSan CI lanes.
 #include "compile/compiler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,10 +28,11 @@
 #include "compile/plan.h"
 #include "core/surgeon.h"
 #include "models/builders.h"
+#include "nn/conv2d.h"
 #include "nn/dropout.h"
+#include "nn/linear.h"
 #include "nn/pooling.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 #include "tensor/rng.h"
 #include "test_util.h"
 #include "verify/compile_diff.h"
@@ -91,8 +96,8 @@ std::shared_ptr<const ExecutionPlan> must_compile(const nn::Model& model,
 
 class CompileArchSweep : public ::testing::TestWithParam<std::string> {};
 
-// The headline: every arch x {dense, pruned} x {reference, tiled},
-// fold OFF -> bitwise identity with the interpreted forward.
+// The headline: every arch x {dense, pruned}, fold OFF -> bitwise
+// identity with the interpreted forward.
 TEST_P(CompileArchSweep, CompiledMatchesInterpretedBitwise) {
   for (const bool pruned : {false, true}) {
     nn::Model model = models::make_model(GetParam(), small_cfg());
@@ -100,12 +105,8 @@ TEST_P(CompileArchSweep, CompiledMatchesInterpretedBitwise) {
     const Tensor x = random_batch(model.input_shape, 3, 31);
     CompileOptions opts;
     opts.fold_batchnorm = false;
-    for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-      const GemmKernelScope scope(kernel);
-      const verify::PlanDiff d = verify::compile_and_diff(model, opts, x);
-      EXPECT_TRUE(d.bitwise) << GetParam() << (pruned ? " pruned" : " dense") << " kernel "
-                             << static_cast<int>(kernel) << ": " << d.detail;
-    }
+    const verify::PlanDiff d = verify::compile_and_diff(model, opts, x);
+    EXPECT_TRUE(d.bitwise) << GetParam() << (pruned ? " pruned" : " dense") << ": " << d.detail;
   }
 }
 
@@ -115,16 +116,88 @@ TEST_P(CompileArchSweep, FoldedPlanWithinEps) {
   nn::Model model = models::make_model(GetParam(), small_cfg());
   const Tensor x = random_batch(model.input_shape, 3, 37);
   CompileOptions opts;  // fold_batchnorm = true
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    const verify::PlanDiff d = verify::compile_and_diff(model, opts, x);
-    ASSERT_TRUE(d.shape_match) << d.detail;
-    EXPECT_LT(d.max_rel_err, 2e-3) << GetParam() << " kernel " << static_cast<int>(kernel)
-                                   << ": " << d.detail;
-  }
+  const verify::PlanDiff d = verify::compile_and_diff(model, opts, x);
+  ASSERT_TRUE(d.shape_match) << d.detail;
+  EXPECT_LT(d.max_rel_err, 2e-3) << GetParam() << ": " << d.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(Archs, CompileArchSweep, ::testing::ValuesIn(all_archs()));
+
+// Non-finite values take the tiled kernels' strong-zero reference
+// fallback inside a plan; fold OFF, the result must still be bitwise
+// the interpreted forward.
+class CompileNonFiniteSweep : public ::testing::TestWithParam<std::string> {};
+
+// Input channel 0 is masked (every weight reading it is exactly zero) and
+// carries NaN: im2col_packed reports the non-finite lowering, the step
+// falls back, and the strong zeros keep the NaN out of the output.
+TEST_P(CompileNonFiniteSweep, MaskedNaNChannelStaysSilenced) {
+  nn::Model model = models::make_model(GetParam(), small_cfg());
+  nn::Conv2d* first = nullptr;
+  model.net->visit([&](nn::Layer& l) {
+    if (first == nullptr) first = dynamic_cast<nn::Conv2d*>(&l);
+  });
+  ASSERT_NE(first, nullptr);
+  const int64_t kk = first->kernel() * first->kernel();
+  for (int64_t f = 0; f < first->out_channels(); ++f) {
+    float* w = first->weight().value.data() + f * first->in_channels() * kk;
+    std::fill(w, w + kk, 0.0f);
+  }
+  Tensor x = random_batch(model.input_shape, 3, 67);
+  const int64_t plane = model.input_shape[1] * model.input_shape[2];
+  for (int64_t i = 0; i < x.dim(0); ++i) {
+    float* ch0 = x.data() + i * model.input_shape[0] * plane;
+    std::fill(ch0, ch0 + plane, std::numeric_limits<float>::quiet_NaN());
+  }
+  CompileOptions opts;
+  opts.fold_batchnorm = false;
+  const auto plan = must_compile(model, opts);
+  ASSERT_TRUE(plan);
+  nn::InferScratch scratch;
+  const Tensor got = plan->run(x, scratch);
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_TRUE(std::isfinite(got[i])) << GetParam() << ": NaN leaked at " << i;
+  }
+  EXPECT_TRUE(bitwise_equal(got, model.forward(x, /*training=*/false))) << GetParam();
+}
+
+// A NaN weight in the classifier: the pre-packed NT operand records
+// finite == false, so the linear step runs the per-call kernel and its
+// transpose + reference fallback, exactly as Linear::forward does. The
+// NaN sits on a feature that is exactly zero for one sample, so only
+// the strong-zero fallback keeps that sample's logit finite.
+TEST_P(CompileNonFiniteSweep, NaNLinearWeightFallsBack) {
+  nn::Model model = models::make_model(GetParam(), small_cfg());
+  const Tensor x = random_batch(model.input_shape, 3, 71);
+  auto* head = dynamic_cast<nn::Linear*>(&model.net->child(model.net->size() - 1));
+  ASSERT_NE(head, nullptr);
+  Tensor feat = x;
+  for (size_t c = 0; c + 1 < model.net->size(); ++c) {
+    feat = model.net->child(c).forward(feat, /*training=*/false);
+  }
+  int64_t sample = -1, feature = -1;
+  for (int64_t i = 0; i < feat.numel() && sample < 0; ++i) {
+    if (feat[i] == 0.0f) sample = i / feat.dim(1), feature = i % feat.dim(1);
+  }
+  ASSERT_GE(sample, 0) << GetParam() << ": no zero classifier input to poison";
+  head->weight().value[feature] = std::numeric_limits<float>::quiet_NaN();  // row 0
+  CompileOptions opts;
+  opts.fold_batchnorm = false;
+  const auto plan = must_compile(model, opts);
+  ASSERT_TRUE(plan);
+  int64_t poisoned = 0;
+  for (const Step& s : plan->steps()) {
+    if (s.kind == StepKind::kLinear && s.prepacked && !s.packed_in.finite) ++poisoned;
+  }
+  EXPECT_EQ(poisoned, 1) << GetParam();
+  nn::InferScratch scratch;
+  const Tensor got = plan->run(x, scratch);
+  EXPECT_TRUE(std::isfinite(got[sample * got.dim(1)])) << GetParam() << ": NaN weight leaked";
+  EXPECT_TRUE(bitwise_equal(got, model.forward(x, /*training=*/false))) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Archs, CompileNonFiniteSweep,
+                         ::testing::Values("tiny", "vgg11", "resnet20"));
 
 // Randomized prune-then-compile property sweep (PR 1 oracle spirit):
 // arbitrary legal prunes never break either contract tier.
@@ -134,15 +207,12 @@ TEST(CompilePropertyTest, RandomizedPruneThenCompile) {
       nn::Model model = models::make_model(arch, small_cfg());
       prune_some_filters(model, seed);
       const Tensor x = random_batch(model.input_shape, 2, 100 + seed);
-      for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-        const GemmKernelScope scope(kernel);
-        CompileOptions exact;
-        exact.fold_batchnorm = false;
-        const verify::PlanDiff d = verify::compile_and_diff(model, exact, x);
-        EXPECT_TRUE(d.bitwise) << arch << " seed " << seed << ": " << d.detail;
-        const verify::PlanDiff folded = verify::compile_and_diff(model, CompileOptions{}, x);
-        EXPECT_LT(folded.max_rel_err, 2e-3) << arch << " seed " << seed << ": " << folded.detail;
-      }
+      CompileOptions exact;
+      exact.fold_batchnorm = false;
+      const verify::PlanDiff d = verify::compile_and_diff(model, exact, x);
+      EXPECT_TRUE(d.bitwise) << arch << " seed " << seed << ": " << d.detail;
+      const verify::PlanDiff folded = verify::compile_and_diff(model, CompileOptions{}, x);
+      EXPECT_LT(folded.max_rel_err, 2e-3) << arch << " seed " << seed << ": " << folded.detail;
     }
   }
 }
@@ -156,18 +226,14 @@ TEST(CompilePassTest, EpilogueFusionIsExact) {
   fused.fold_batchnorm = false;
   CompileOptions unfused = fused;
   unfused.fuse_epilogues = false;
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    const auto pf = must_compile(model, fused);
-    const auto pu = must_compile(model, unfused);
-    ASSERT_TRUE(pf && pu);
-    EXPECT_GT(pf->fused_epilogues(), 0);
-    EXPECT_EQ(pu->fused_epilogues(), 0);
-    EXPECT_LT(pf->steps().size(), pu->steps().size());
-    nn::InferScratch s1, s2;
-    EXPECT_TRUE(bitwise_equal(pf->run(x, s1), pu->run(x, s2)))
-        << "kernel " << static_cast<int>(kernel);
-  }
+  const auto pf = must_compile(model, fused);
+  const auto pu = must_compile(model, unfused);
+  ASSERT_TRUE(pf && pu);
+  EXPECT_GT(pf->fused_epilogues(), 0);
+  EXPECT_EQ(pu->fused_epilogues(), 0);
+  EXPECT_LT(pf->steps().size(), pu->steps().size());
+  nn::InferScratch s1, s2;
+  EXPECT_TRUE(bitwise_equal(pf->run(x, s1), pu->run(x, s2)));
 }
 
 // Pre-packing only moves the pack step to compile time: identical strips
@@ -179,17 +245,13 @@ TEST(CompilePassTest, WeightPrepackIsExact) {
   packed.fold_batchnorm = false;
   CompileOptions unpacked = packed;
   unpacked.prepack_weights = false;
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    const auto pp = must_compile(model, packed);
-    const auto pn = must_compile(model, unpacked);
-    ASSERT_TRUE(pp && pn);
-    EXPECT_GT(pp->prepacked_floats(), 0);
-    EXPECT_EQ(pn->prepacked_floats(), 0);
-    nn::InferScratch s1, s2;
-    EXPECT_TRUE(bitwise_equal(pp->run(x, s1), pn->run(x, s2)))
-        << "kernel " << static_cast<int>(kernel);
-  }
+  const auto pp = must_compile(model, packed);
+  const auto pn = must_compile(model, unpacked);
+  ASSERT_TRUE(pp && pn);
+  EXPECT_GT(pp->prepacked_floats(), 0);
+  EXPECT_EQ(pn->prepacked_floats(), 0);
+  nn::InferScratch s1, s2;
+  EXPECT_TRUE(bitwise_equal(pp->run(x, s1), pn->run(x, s2)));
 }
 
 // BN folding collapses conv+bn pairs into single steps and records how
@@ -255,26 +317,22 @@ TEST(CompilePassTest, LeakyReluEpilogueFusedExact) {
   fused.fold_batchnorm = false;
   CompileOptions unfused = fused;
   unfused.fuse_epilogues = false;
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    const auto pf = must_compile(model, fused);
-    ASSERT_TRUE(pf);
-    EXPECT_EQ(pf->fused_epilogues(), 1);
-    ASSERT_FALSE(pf->steps().empty());
-    EXPECT_EQ(pf->steps()[0].act, Epilogue::kLeakyReLU);
-    EXPECT_FLOAT_EQ(pf->steps()[0].alpha, 0.1f);
-    const verify::PlanDiff d = verify::compile_and_diff(model, fused, x);
-    EXPECT_TRUE(d.bitwise) << "kernel " << static_cast<int>(kernel) << ": " << d.detail;
-    const auto pu = must_compile(model, unfused);
-    nn::InferScratch s1, s2;
-    EXPECT_TRUE(bitwise_equal(pf->run(x, s1), pu->run(x, s2)));
-  }
+  const auto pf = must_compile(model, fused);
+  ASSERT_TRUE(pf);
+  EXPECT_EQ(pf->fused_epilogues(), 1);
+  ASSERT_FALSE(pf->steps().empty());
+  EXPECT_EQ(pf->steps()[0].act, Epilogue::kLeakyReLU);
+  EXPECT_FLOAT_EQ(pf->steps()[0].alpha, 0.1f);
+  const verify::PlanDiff d = verify::compile_and_diff(model, fused, x);
+  EXPECT_TRUE(d.bitwise) << d.detail;
+  const auto pu = must_compile(model, unfused);
+  nn::InferScratch s1, s2;
+  EXPECT_TRUE(bitwise_equal(pf->run(x, s1), pu->run(x, s2)));
 }
 
 // One immutable plan, four threads, private scratches: every thread sees
 // the single-threaded result bit for bit. Runs under the TSan CI lane.
 TEST(CompileConcurrencyTest, SharedPlanFourThreadsBitwise) {
-  const GemmKernelScope scope(GemmKernel::kTiled);
   nn::Model model = models::make_model("resnet20", small_cfg());
   CompileOptions opts;
   opts.fold_batchnorm = false;
@@ -322,13 +380,10 @@ TEST(CompileSessionTest, SessionModesHonourContract) {
   EXPECT_GT(folded.plan()->folded_batchnorms(), 0);
 
   const Tensor x = random_batch(base.input_shape(), 3, 61);
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    nn::InferScratch s1, s2, s3;
-    const Tensor want = base.run(x, s1);
-    EXPECT_TRUE(bitwise_equal(compiled.run(x, s2), want));
-    EXPECT_TRUE(capr::testing::expect_allclose(folded.run(x, s3), want, 1e-3f, 2e-3f));
-  }
+  nn::InferScratch s1, s2, s3;
+  const Tensor want = base.run(x, s1);
+  EXPECT_TRUE(bitwise_equal(compiled.run(x, s2), want));
+  EXPECT_TRUE(capr::testing::expect_allclose(folded.run(x, s3), want, 1e-3f, 2e-3f));
 }
 
 // The dropout node disappears from compiled plans (inference identity);

@@ -129,7 +129,6 @@ TEST(DeterminismTest, CompiledPlanIsBitwiseAcrossThreadCounts) {
   // be bitwise — for both the exact plan and the BN-folded plan (folding
   // changes the numbers once at compile time, not per-run).
   ThreadGuard guard;
-  const GemmKernelScope scope(GemmKernel::kTiled);
   const nn::Model model = models::make_model("resnet20", [] {
     models::BuildConfig cfg;
     cfg.num_classes = 4;

@@ -1,23 +1,22 @@
-// Pins the kernel-dispatch semantics: which kernel runs, what switching
-// guarantees, and how the strong-zero contract survives the fast path.
+// Pins the production GEMM path against the naive oracles and how the
+// strong-zero contract survives it.
 //
-// The load-bearing property for the pruning framework: a masked /
-// apply_selection-pruned model must behave identically under either
-// kernel, including when poisoned (NaN/Inf) activations hit exact-zero
-// weights — the tiled path detects non-finite B operands and routes the
-// call through the strong-zero reference kernel.
+// matmul / matmul_nt / matmul_tn and Conv2d run the tiled kernels. The
+// load-bearing property for the pruning framework: a masked layer must
+// silence poisoned (NaN/Inf) activations behind its exact-zero weights —
+// the tiled path detects non-finite B operands and routes the call
+// through the strong-zero reference kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
-#include "core/surgeon.h"
-#include "models/builders.h"
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_tiled.h"
 #include "tensor/rng.h"
 #include "testutil/testutil.h"
+#include "verify/oracle.h"
 
 namespace capr {
 namespace {
@@ -31,23 +30,7 @@ Tensor random(Rng& rng, Shape shape) {
   return t;
 }
 
-TEST(KernelDispatchTest, SetAndScopeRoundTrip) {
-  const GemmKernel before = gemm_kernel();
-  {
-    GemmKernelScope ref(GemmKernel::kReference);
-    EXPECT_EQ(gemm_kernel(), GemmKernel::kReference);
-    {
-      GemmKernelScope tiled(GemmKernel::kTiled);
-      EXPECT_EQ(gemm_kernel(), GemmKernel::kTiled);
-    }
-    EXPECT_EQ(gemm_kernel(), GemmKernel::kReference);
-  }
-  EXPECT_EQ(gemm_kernel(), before);
-  EXPECT_STREQ(to_string(GemmKernel::kTiled), "tiled");
-  EXPECT_STREQ(to_string(GemmKernel::kReference), "reference");
-}
-
-TEST(KernelDispatchTest, FiniteInputsAgreeAcrossKernelsOnAllVariants) {
+TEST(KernelDispatchTest, MatmulWrappersMatchOracleOnAllVariants) {
   // Awkward remainder shape: no dimension divides the tile sizes.
   const int64_t m = 37, k = 129, n = 53;
   Rng rng(42);
@@ -56,29 +39,17 @@ TEST(KernelDispatchTest, FiniteInputsAgreeAcrossKernelsOnAllVariants) {
   const Tensor bt = random(rng, {n, k});
   const Tensor at = random(rng, {k, m});
 
-  Tensor nn_t, nt_t, tn_t, nn_r, nt_r, tn_r;
-  {
-    GemmKernelScope scope(GemmKernel::kTiled);
-    nn_t = matmul(a, b);
-    nt_t = matmul_nt(a, bt);
-    tn_t = matmul_tn(at, b);
-  }
-  {
-    GemmKernelScope scope(GemmKernel::kReference);
-    nn_r = matmul(a, b);
-    nt_r = matmul_nt(a, bt);
-    tn_r = matmul_tn(at, b);
-  }
-  EXPECT_TRUE(testing::allclose_report(nn_t, nn_r, 1e-4f, 1e-3f).ok);
-  EXPECT_TRUE(testing::allclose_report(nt_t, nt_r, 1e-4f, 1e-3f).ok);
-  EXPECT_TRUE(testing::allclose_report(tn_t, tn_r, 1e-4f, 1e-3f).ok);
+  EXPECT_TRUE(testing::allclose_report(matmul(a, b), verify::ref_matmul(a, b), 1e-4f, 1e-3f).ok);
+  EXPECT_TRUE(
+      testing::allclose_report(matmul_nt(a, bt), verify::ref_matmul_nt(a, bt), 1e-4f, 1e-3f).ok);
+  EXPECT_TRUE(
+      testing::allclose_report(matmul_tn(at, b), verify::ref_matmul_tn(at, b), 1e-4f, 1e-3f).ok);
 }
 
 TEST(KernelDispatchTest, StrongZeroHoldsUnderTiledKernel) {
   // Column 1 of A is exactly zero; row 1 of B is poisoned. The zero must
-  // annihilate NaN/Inf even with the tiled kernel selected: pack_b spots
-  // the non-finite operand and the call runs on the reference kernel.
-  GemmKernelScope scope(GemmKernel::kTiled);
+  // annihilate NaN/Inf on the tiled path: pack_b spots the non-finite
+  // operand and the call runs on the reference kernel.
   Tensor a({2, 2});
   a[0] = 1.0f, a[1] = 0.0f, a[2] = 2.0f, a[3] = 0.0f;
   Tensor b({2, 3});
@@ -94,7 +65,6 @@ TEST(KernelDispatchTest, StrongZeroHoldsUnderTiledKernel) {
 }
 
 TEST(KernelDispatchTest, NonzeroWeightsStillPropagateNaNUnderTiled) {
-  GemmKernelScope scope(GemmKernel::kTiled);
   Tensor a({1, 2});
   a[0] = 1.0f, a[1] = 0.5f;
   Tensor b({2, 2});
@@ -130,7 +100,6 @@ TEST(KernelDispatchTest, MaskedConvSilencesPoisonedChannelUnderTiled) {
   // channel); channel 1 of the input is poisoned with NaN. The conv
   // output must stay finite and equal the clean-input output: this is
   // the strong-zero contract end-to-end through im2col + dispatch.
-  GemmKernelScope scope(GemmKernel::kTiled);
   nn::Conv2d conv(2, 3, 3, 1, 1, /*bias=*/true);
   Rng rng(11);
   rng.fill_uniform(conv.weight().value, -1.0f, 1.0f);
@@ -157,29 +126,7 @@ TEST(KernelDispatchTest, MaskedConvSilencesPoisonedChannelUnderTiled) {
   EXPECT_TRUE(rep.ok) << rep.message;
 }
 
-TEST(KernelDispatchTest, PrunedModelForwardAgreesAcrossKernels) {
-  models::BuildConfig cfg;
-  cfg.num_classes = 4;
-  cfg.input_size = 8;
-  nn::Model model = models::make_tiny_cnn(cfg);
-  core::apply_selection(model, {{0, {0, 2}}, {1, {1}}});
-
-  Rng rng(3);
-  const Tensor x = random(rng, {2, cfg.input_channels, cfg.input_size, cfg.input_size});
-  Tensor y_tiled, y_ref;
-  {
-    GemmKernelScope scope(GemmKernel::kTiled);
-    y_tiled = model.forward(x, /*training=*/false);
-  }
-  {
-    GemmKernelScope scope(GemmKernel::kReference);
-    y_ref = model.forward(x, /*training=*/false);
-  }
-  const auto rep = testing::allclose_report(y_tiled, y_ref, 1e-4f, 1e-3f);
-  EXPECT_TRUE(rep.ok) << rep.message;
-}
-
-TEST(KernelDispatchTest, ConvForwardBackwardAgreeAcrossKernels) {
+TEST(KernelDispatchTest, ConvForwardBackwardMatchesOracle) {
   nn::Conv2d conv(3, 8, 3, 1, 1, /*bias=*/true);
   Rng rng(21);
   rng.fill_uniform(conv.weight().value, -1.0f, 1.0f);
@@ -187,27 +134,17 @@ TEST(KernelDispatchTest, ConvForwardBackwardAgreeAcrossKernels) {
   const Tensor x = random(rng, {2, 3, 10, 10});
   const Tensor go = random(rng, {2, 8, 10, 10});
 
-  Tensor y_t, gx_t, gw_t, gb_t, y_r, gx_r, gw_r, gb_r;
-  {
-    GemmKernelScope scope(GemmKernel::kTiled);
-    for (nn::Param* p : conv.params()) p->zero_grad();
-    y_t = conv.forward(x, /*training=*/true);
-    gx_t = conv.backward(go);
-    gw_t = conv.weight().grad;
-    gb_t = conv.bias().grad;
-  }
-  {
-    GemmKernelScope scope(GemmKernel::kReference);
-    for (nn::Param* p : conv.params()) p->zero_grad();
-    y_r = conv.forward(x, /*training=*/true);
-    gx_r = conv.backward(go);
-    gw_r = conv.weight().grad;
-    gb_r = conv.bias().grad;
-  }
-  EXPECT_TRUE(testing::allclose_report(y_t, y_r, 1e-4f, 1e-3f).ok);
-  EXPECT_TRUE(testing::allclose_report(gx_t, gx_r, 1e-4f, 1e-3f).ok);
-  EXPECT_TRUE(testing::allclose_report(gw_t, gw_r, 1e-3f, 1e-3f).ok);
-  EXPECT_TRUE(testing::allclose_report(gb_t, gb_r, 1e-4f, 1e-3f).ok);
+  for (nn::Param* p : conv.params()) p->zero_grad();
+  const Tensor y = conv.forward(x, /*training=*/true);
+  const Tensor gx = conv.backward(go);
+  const Tensor y_ref = verify::ref_conv2d_forward(x, conv.weight().value, conv.bias().value,
+                                                  /*stride=*/1, /*padding=*/1);
+  const verify::RefConvGrads g_ref = verify::ref_conv2d_backward(
+      x, conv.weight().value, /*has_bias=*/true, /*stride=*/1, /*padding=*/1, go);
+  EXPECT_TRUE(testing::allclose_report(y, y_ref, 1e-4f, 1e-3f).ok);
+  EXPECT_TRUE(testing::allclose_report(gx, g_ref.input, 1e-4f, 1e-3f).ok);
+  EXPECT_TRUE(testing::allclose_report(conv.weight().grad, g_ref.weight, 1e-3f, 1e-3f).ok);
+  EXPECT_TRUE(testing::allclose_report(conv.bias().grad, g_ref.bias, 1e-4f, 1e-3f).ok);
 }
 
 }  // namespace

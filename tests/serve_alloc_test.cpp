@@ -19,7 +19,6 @@
 #include "models/builders.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 #include "tensor/gemm_tune.h"
 #include "tensor/rng.h"
 
@@ -49,36 +48,32 @@ Tensor random_sample(const Shape& in, uint64_t seed) {
 }
 
 // Direct compiled path: warm once, then steady-state run_ref performs
-// zero float allocations under either GEMM kernel, at max batch and at
-// smaller batches (shrinking never reallocates).
+// zero float allocations, at max batch and at smaller batches (shrinking
+// never reallocates).
 TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeAfterWarm) {
-  for (GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    GemmKernelScope scope(kernel);
-    SessionOptions opts;
-    opts.mode = SessionOptions::Mode::kCompiled;
-    const InferenceSession session(models::make_model("resnet20", small_cfg()), opts);
-    ASSERT_NE(session.plan(), nullptr);
+  SessionOptions opts;
+  opts.mode = SessionOptions::Mode::kCompiled;
+  const InferenceSession session(models::make_model("resnet20", small_cfg()), opts);
+  ASSERT_NE(session.plan(), nullptr);
 
-    constexpr int64_t kMaxBatch = 4;
-    nn::InferScratch scratch;
-    session.warm(scratch, kMaxBatch);
+  constexpr int64_t kMaxBatch = 4;
+  nn::InferScratch scratch;
+  session.warm(scratch, kMaxBatch);
 
-    // Every tensor the measured region touches is created up front.
-    const Tensor full = random_batch(session.input_shape(), kMaxBatch, 11);
-    const Tensor single = random_batch(session.input_shape(), 1, 12);
-    session.run_ref(full, scratch);    // settle any first-touch growth
+  // Every tensor the measured region touches is created up front.
+  const Tensor full = random_batch(session.input_shape(), kMaxBatch, 11);
+  const Tensor single = random_batch(session.input_shape(), 1, 12);
+  session.run_ref(full, scratch);    // settle any first-touch growth
+  session.run_ref(single, scratch);
+
+  const uint64_t before = float_alloc_count();
+  for (int i = 0; i < 16; ++i) {
+    session.run_ref(full, scratch);
     session.run_ref(single, scratch);
-
-    const uint64_t before = float_alloc_count();
-    for (int i = 0; i < 16; ++i) {
-      session.run_ref(full, scratch);
-      session.run_ref(single, scratch);
-    }
-    const uint64_t after = float_alloc_count();
-    EXPECT_EQ(after, before) << "kernel=" << (kernel == GemmKernel::kTiled ? "tiled" : "reference")
-                             << ": compiled steady state allocated " << (after - before)
-                             << " float buffer(s)";
   }
+  const uint64_t after = float_alloc_count();
+  EXPECT_EQ(after, before) << "compiled steady state allocated " << (after - before)
+                           << " float buffer(s)";
 }
 
 // Same zero-alloc contract under a non-default tuning table: warm()
@@ -93,7 +88,6 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeUnderTunedConfig) {
   entry.cfg = {40, 64, 4, GemmParallel::kSplitN};  // non-default on purpose
   for (auto& slot : table->entries) slot = entry;
 
-  GemmKernelScope kernel(GemmKernel::kTiled);
   GemmTuningScope tuning(table);
   SessionOptions opts;
   opts.mode = SessionOptions::Mode::kCompiled;
@@ -125,7 +119,6 @@ TEST(ServeAllocTest, CompiledRunRefIsAllocationFreeUnderTunedConfig) {
 // if this test starts seeing ZERO interpreted allocations, the counter
 // hooks are broken and the compiled zero-alloc test above proves nothing.
 TEST(ServeAllocTest, InterpretedRunRefStillAllocatesPerCall) {
-  GemmKernelScope scope(GemmKernel::kTiled);
   SessionOptions opts;
   opts.mode = SessionOptions::Mode::kInterpreted;
   const InferenceSession session(models::make_model("tiny", small_cfg()), opts);
@@ -146,7 +139,6 @@ TEST(ServeAllocTest, InterpretedRunRefStillAllocatesPerCall) {
 // back through the future. max_batch=1 keeps the stacked input at fixed
 // capacity so the count is exact rather than an upper bound.
 TEST(ServeAllocTest, ServerSteadyStateAllocatesOncePerRequest) {
-  GemmKernelScope scope(GemmKernel::kTiled);
   SessionOptions opts;
   opts.mode = SessionOptions::Mode::kCompiled;
   auto session = std::make_shared<const InferenceSession>(

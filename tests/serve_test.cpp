@@ -23,7 +23,6 @@
 #include "nn/trainer.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 #include "tensor/parallel.h"
 #include "tensor/serialize.h"
 #include "test_util.h"
@@ -67,15 +66,12 @@ Tensor sample_of(const Tensor& batch, int64_t i) {
 
 TEST(InferencePathTest, MatchesTrainingForwardBitwise) {
   for (const char* arch : {"tiny", "vgg11", "resnet20"}) {
-    for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-      const GemmKernelScope scope(kernel);
-      nn::Model model = models::make_model(arch, small_cfg());
-      const Tensor x = random_batch(model.input_shape, 3, 11);
-      const Tensor want = model.forward(x, /*training=*/false);
-      nn::InferScratch scratch;
-      const Tensor got = model.forward_inference(x, scratch);
-      EXPECT_TRUE(bitwise_equal(got, want)) << arch << " kernel " << static_cast<int>(kernel);
-    }
+    nn::Model model = models::make_model(arch, small_cfg());
+    const Tensor x = random_batch(model.input_shape, 3, 11);
+    const Tensor want = model.forward(x, /*training=*/false);
+    nn::InferScratch scratch;
+    const Tensor got = model.forward_inference(x, scratch);
+    EXPECT_TRUE(bitwise_equal(got, want)) << arch;
   }
 }
 
@@ -99,21 +95,17 @@ TEST(InferencePathTest, AppliesChannelScaleInterventions) {
 TEST(InferencePathTest, BatchCompositionInvariance) {
   // A sample's logits must not depend on which other samples share its
   // micro-batch — the property that makes adaptive batching bitwise-safe.
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    serve::InferenceSession session(models::make_model("resnet20", small_cfg()));
-    const Tensor batch = random_batch(session.input_shape(), 6, 13);
-    nn::InferScratch scratch;
-    const Tensor together = session.run(batch, scratch);
-    ASSERT_EQ(together.dim(0), 6);
-    for (int64_t i = 0; i < 6; ++i) {
-      Tensor one({1, batch.dim(1), batch.dim(2), batch.dim(3)});
-      std::memcpy(one.data(), batch.data() + i * one.numel(),
-                  static_cast<size_t>(one.numel()) * sizeof(float));
-      const Tensor alone = session.run(one, scratch);
-      EXPECT_TRUE(row_equals(together, i, alone.reshape({together.dim(1)})))
-          << "sample " << i << " kernel " << static_cast<int>(kernel);
-    }
+  serve::InferenceSession session(models::make_model("resnet20", small_cfg()));
+  const Tensor batch = random_batch(session.input_shape(), 6, 13);
+  nn::InferScratch scratch;
+  const Tensor together = session.run(batch, scratch);
+  ASSERT_EQ(together.dim(0), 6);
+  for (int64_t i = 0; i < 6; ++i) {
+    Tensor one({1, batch.dim(1), batch.dim(2), batch.dim(3)});
+    std::memcpy(one.data(), batch.data() + i * one.numel(),
+                static_cast<size_t>(one.numel()) * sizeof(float));
+    const Tensor alone = session.run(one, scratch);
+    EXPECT_TRUE(row_equals(together, i, alone.reshape({together.dim(1)}))) << "sample " << i;
   }
 }
 
@@ -135,7 +127,7 @@ TEST(InferenceSessionTest, FromCheckpointRejectsWrongArch) {
 
 // Train a small model, prune it, save the checkpoint, serve it from a
 // fresh process-like reload: logits must match the live pruned model
-// bit for bit, across kernels and server worker counts.
+// bit for bit, across server worker counts.
 TEST(ServeEquivalenceTest, TrainPruneSaveServeRoundTrip) {
   models::BuildConfig mcfg = small_cfg();
   data::SyntheticCifarConfig dcfg;
@@ -160,28 +152,24 @@ TEST(ServeEquivalenceTest, TrainPruneSaveServeRoundTrip) {
   save_tensor_map(path, model.state_dict());
 
   const Tensor x = random_batch(model.input_shape, 5, 17);
-  for (const GemmKernel kernel : {GemmKernel::kReference, GemmKernel::kTiled}) {
-    const GemmKernelScope scope(kernel);
-    const Tensor want = model.forward(x, false);
+  const Tensor want = model.forward(x, false);
 
-    auto session = std::make_shared<const serve::InferenceSession>(
-        serve::InferenceSession::from_checkpoint("tiny", mcfg, path));
-    nn::InferScratch scratch;
-    EXPECT_TRUE(bitwise_equal(session->run(x, scratch), want));
+  auto session = std::make_shared<const serve::InferenceSession>(
+      serve::InferenceSession::from_checkpoint("tiny", mcfg, path));
+  nn::InferScratch scratch;
+  EXPECT_TRUE(bitwise_equal(session->run(x, scratch), want));
 
-    for (const int workers : {1, 4}) {
-      serve::ServerConfig scfg;
-      scfg.workers = workers;
-      scfg.max_batch = 4;
-      serve::InferenceServer server(session, scfg);
-      std::vector<std::future<serve::InferResult>> futs;
-      for (int64_t i = 0; i < x.dim(0); ++i) futs.push_back(server.submit(sample_of(x, i)));
-      for (int64_t i = 0; i < x.dim(0); ++i) {
-        serve::InferResult res = futs[static_cast<size_t>(i)].get();
-        ASSERT_EQ(res.status, serve::RequestStatus::kOk) << res.error;
-        EXPECT_TRUE(row_equals(want, i, res.output))
-            << "row " << i << " workers " << workers << " kernel " << static_cast<int>(kernel);
-      }
+  for (const int workers : {1, 4}) {
+    serve::ServerConfig scfg;
+    scfg.workers = workers;
+    scfg.max_batch = 4;
+    serve::InferenceServer server(session, scfg);
+    std::vector<std::future<serve::InferResult>> futs;
+    for (int64_t i = 0; i < x.dim(0); ++i) futs.push_back(server.submit(sample_of(x, i)));
+    for (int64_t i = 0; i < x.dim(0); ++i) {
+      serve::InferResult res = futs[static_cast<size_t>(i)].get();
+      ASSERT_EQ(res.status, serve::RequestStatus::kOk) << res.error;
+      EXPECT_TRUE(row_equals(want, i, res.output)) << "row " << i << " workers " << workers;
     }
   }
 }

@@ -37,7 +37,6 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "tensor/gemm_tiled.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -47,7 +46,6 @@ struct Options {
   std::string arch;
   std::string checkpoint;
   std::string publish;  // checkpoint hot-swapped mid-run
-  std::string kernel = "tiled";
   capr::models::BuildConfig build{};
   capr::serve::ServerConfig server{};
   std::string model = "default";  // fleet id the clients route to
@@ -68,7 +66,6 @@ void usage(std::ostream& os) {
         "  --classes <n>         number of classes (default 10)\n"
         "  --input-size <n>      input H=W (default 16)\n"
         "  --width-mult <f>      channel width multiplier (default 0.25)\n"
-        "  --kernel <name>       GEMM kernel: tiled (default) or reference\n"
         "  --clients <n>         client threads (default 4)\n"
         "  --requests <n>        total requests across clients (default 256)\n"
         "  --workers <n>         server worker threads (default: num_threads())\n"
@@ -101,11 +98,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.build.input_size = std::stoll(value());
     } else if (arg == "--width-mult") {
       opts.build.width_mult = std::stof(value());
-    } else if (arg == "--kernel") {
-      opts.kernel = value();
-      if (opts.kernel != "tiled" && opts.kernel != "reference") {
-        throw std::runtime_error("unknown kernel '" + opts.kernel + "'");
-      }
     } else if (arg == "--clients") {
       opts.clients = std::stoi(value());
     } else if (arg == "--requests") {
@@ -148,8 +140,6 @@ int main(int argc, char** argv) {
   try {
     using capr::serve::InferResult;
     using capr::serve::RequestStatus;
-    const capr::GemmKernelScope scope(opts.kernel == "tiled" ? capr::GemmKernel::kTiled
-                                                             : capr::GemmKernel::kReference);
     std::shared_ptr<const capr::serve::InferenceSession> session;
     if (!opts.checkpoint.empty()) {
       session = std::make_shared<const capr::serve::InferenceSession>(
@@ -169,7 +159,7 @@ int main(int argc, char** argv) {
     std::cout << "serving " << opts.arch << " " << capr::to_string(in) << " -> "
               << session->num_classes() << " classes as \"" << opts.model << "\", "
               << server.config().workers << " workers, max_batch "
-              << server.config().max_batch << ", kernel " << opts.kernel << "\n";
+              << server.config().max_batch << "\n";
 
     // Each client owns a pool of synthetic samples and submits its share
     // of the total, blocking on queue space (so nothing is shed here —
